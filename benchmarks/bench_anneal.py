@@ -1,96 +1,160 @@
-"""Annealing kernel backend benchmark.
+"""Annealing sweep kernel benchmark: sparse kernel against the dense definition.
 
-Times the simulated-annealing sweep kernel with the JIT backend against
-the pure-Python fallback on one conflict-graph QUBO built through the
-regular pipeline. Both backends get the same seed, schedule, and matrix,
-so the work is identical; the script also checks that they walk the
-exact same trajectory (same best state, energy, and step count). The
-first JIT call is a compilation warm-up and is excluded from timing.
-If numba is not installed the script still times the fallback path.
+For each conflict-graph instance (12, 54 and 316 nodes) the script builds
+the kernel inputs exactly as ``probeopt.qubo.anneal.solve`` does, draws
+one set of accept rolls from a fixed seed, and times two kernels on those
+same inputs:
 
-Run:
+- ``dense``: ``tests/support.dense_sweep_reference``, which re-sums the
+  local field over all n columns on every flip attempt (O(sweeps * n^2)).
+- ``sparse``: ``probeopt.qubo.kernels.sweep``, which sums only the
+  selected neighbours (O(sweeps * (n + edges))).
 
-    python3 benchmarks/bench_anneal.py [--requests 120] [--sweeps 300] [--repeats 3]
+It fails unless both return the same best state, final state, final
+energy and best energy, compared with ``==``. Each kernel runs
+``--repeats`` times; the report gives every run and their median and
+interquartile range, plus the commit, ``nproc``, Python and numpy.
+
+Run from the repository root:
+
+    python3 benchmarks/bench_anneal.py [--repeats 5] [--seed 42] [--out BENCH_anneal.json]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from probeopt.qubo.anneal import AnnealParams, solve
-from probeopt.qubo.conflict import build_conflict_graph
-from probeopt.qubo.kernels import HAVE_NUMBA
-from probeopt.qubo.model import to_qubo
-from probeopt.qubo.problem import SatelliteProblem, generate_geometry
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from probeopt.harness.scenarios import default_problem  # noqa: E402
+from probeopt.qubo.anneal import AnnealParams, sweep_operands, temperature_schedule  # noqa: E402
+from probeopt.qubo.conflict import build_conflict_graph  # noqa: E402
+from probeopt.qubo.kernels import sweep  # noqa: E402
+from probeopt.qubo.model import to_qubo  # noqa: E402
+from probeopt.qubo.problem import SatelliteProblem, generate_geometry  # noqa: E402
+from support import dense_sweep_reference  # noqa: E402
+
+# (name, instance, sweeps): the CLI default, the perfbench bo-large
+# instance, and a wide-band instance where most requests load several
+# satellites. w_penalty is fractional, as BO proposes it.
+INSTANCES = (
+    ("3x12", default_problem(), 200),
+    ("4x30", SatelliteProblem(n_satellites=4, n_requests=30, view_height=0.5, turn_speed=1.0, seed=7), 200),
+    ("4x120", SatelliteProblem(n_satellites=4, n_requests=120, view_height=0.8, turn_speed=1.0, seed=42), 300),
+)
+W_PENALTY = 2.37
+KERNELS = (("dense", dense_sweep_reference), ("sparse", sweep))
 
 
-def build_qubo(requests: int, seed: int):
-    problem = SatelliteProblem(
-        n_satellites=4,
-        n_requests=requests,
-        view_height=0.8,  # wide bands so most requests load several satellites
-        turn_speed=1.0,
-        seed=seed,
-    )
-    graph = build_conflict_graph(generate_geometry(problem), problem)
-    return to_qubo(graph, problem.qubo_weights), graph
+def kernel_inputs(problem, sweeps, seed):
+    """(qdiag, coupling, temps, uniforms, edge count), prepared as ``solve`` prepares them."""
+    tuned = problem.with_weights(w_penalty=W_PENALTY)
+    graph = build_conflict_graph(generate_geometry(tuned), tuned)
+    qdiag, coupling = sweep_operands(to_qubo(graph, tuned.qubo_weights))
+    temps = temperature_schedule(AnnealParams(sweeps=sweeps))
+    uniforms = np.random.default_rng(seed).random((sweeps, graph.n))
+    return qdiag, coupling, temps, uniforms, len(graph.edges)
 
 
-def time_backend(qubo, params, seed, use_numba, repeats):
-    if use_numba:
-        # compile outside the timed region
-        solve(qubo, AnnealParams(sweeps=2), np.random.default_rng(0), use_numba=True)
+def time_kernel(kernel, inputs, repeats):
+    """Run ``kernel`` ``repeats`` times from the all-zeros state.
+
+    Returns (seconds per run, (final state, best state, final energy, best energy)).
+    """
+    qdiag, coupling, temps, uniforms = inputs
     durations = []
-    result = None
     for _ in range(repeats):
-        rng = np.random.default_rng(seed)  # same stream each repeat: same work
+        state = np.zeros(qdiag.shape[0], dtype=np.int64)
+        best_state = np.zeros_like(state)
         start = time.perf_counter()
-        result = solve(qubo, params, rng, use_numba=use_numba)
+        final_energy, best_energy = kernel(qdiag, coupling, temps, uniforms, state, best_state)
         durations.append(time.perf_counter() - start)
-    return durations, result
+    return durations, (state.tolist(), best_state.tolist(), float(final_energy), float(best_energy))
 
 
-def report(name, durations):
-    mean = statistics.mean(durations)
-    std = statistics.stdev(durations) if len(durations) > 1 else 0.0
-    print(f"{name:>12}: {mean * 1e3:8.2f} ms +- {std * 1e3:6.2f} ms  (n={len(durations)})")
-    return mean
+def summarize(durations):
+    iqr = 0.0
+    if len(durations) > 1:
+        q1, _, q3 = statistics.quantiles(durations, n=4)
+        iqr = q3 - q1
+    return {"median_s": statistics.median(durations), "iqr_s": iqr, "runs_s": durations}
 
 
-def main() -> int:
+def measure(name, problem, sweeps, repeats, seed):
+    """One report row; raises RuntimeError if the two kernels disagree."""
+    *inputs, edges = kernel_inputs(problem, sweeps, seed)
+    row = {"instance": name, "nodes": inputs[0].shape[0], "edges": edges, "sweeps": sweeps}
+    outputs = {}
+    for label, kernel in KERNELS:
+        durations, outputs[label] = time_kernel(kernel, inputs, repeats)
+        row[label] = summarize(durations)
+    if outputs["dense"] != outputs["sparse"]:
+        raise RuntimeError(f"{name}: sparse kernel diverged from the dense reference")
+    row["bit_identical"] = True
+    row["best_energy"] = outputs["sparse"][3]
+    row["speedup"] = row["dense"]["median_s"] / row["sparse"]["median_s"]
+    return row
+
+
+def environment():
+    # "<hash>-dirty" when the measured tree has uncommitted changes.
+    commit = subprocess.run(
+        ["git", "-C", str(ROOT), "describe", "--always", "--dirty", "--abbrev=40"],
+        capture_output=True,
+        text=True,
+        check=False,
+    ).stdout.strip()
+    return {
+        "commit": commit or None,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def run(instances, repeats, seed):
+    rows = []
+    for name, problem, sweeps in instances:
+        row = measure(name, problem, sweeps, repeats, seed)
+        print(
+            f"{name:>6}: {row['nodes']:4d} nodes {row['edges']:5d} edges {sweeps} sweeps | "
+            f"dense {row['dense']['median_s'] * 1e3:9.2f} ms (IQR {row['dense']['iqr_s'] * 1e3:.2f}) | "
+            f"sparse {row['sparse']['median_s'] * 1e3:8.3f} ms (IQR {row['sparse']['iqr_s'] * 1e3:.3f}) | "
+            f"x{row['speedup']:.0f}, bit-identical"
+        )
+        rows.append(row)
+    return {
+        "benchmark": "anneal sweep kernel, dense definition (before) vs sparse kernel (after)",
+        "environment": environment(),
+        "repeats": repeats,
+        "seed": seed,
+        "w_penalty": W_PENALTY,
+        "results": rows,
+    }
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=120)
-    parser.add_argument("--sweeps", type=int, default=300)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args()
-
-    qubo, graph = build_qubo(args.requests, args.seed)
-    params = AnnealParams(sweeps=args.sweeps)
-    print(f"QUBO: {qubo.n} nodes, {len(graph.edges)} conflict edges, {args.sweeps} sweeps")
-
-    py_durs, py_result = time_backend(qubo, params, args.seed, False, args.repeats)
-    py_mean = report("pure numpy", py_durs)
-
-    if not HAVE_NUMBA:
-        print("numba not installed; fallback path only")
-        return 0
-
-    jit_durs, jit_result = time_backend(qubo, params, args.seed, True, args.repeats)
-    jit_mean = report("numba jit", jit_durs)
-
-    same = (
-        np.array_equal(py_result.state, jit_result.state)
-        and py_result.energy == jit_result.energy
-        and py_result.steps_taken == jit_result.steps_taken
-    )
-    print(f"backends agree on state/energy/steps: {same}")
-    print(f"speedup: {py_mean / jit_mean:.1f}x")
-    return 0 if same else 1
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_anneal.json")
+    args = parser.parse_args(argv)
+    report = run(INSTANCES, args.repeats, args.seed)
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

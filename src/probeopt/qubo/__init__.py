@@ -2,7 +2,6 @@
 
 from .anneal import AnnealParams, AnnealResult, solve, temperature_schedule
 from .conflict import ConflictGraph, build_conflict_graph, visible_pairs
-from .kernels import HAVE_NUMBA, active_backend, get_sweep_kernel
 from .model import QuboMatrix, energies_exhaustive, energy, to_qubo
 from .problem import Geometry, QuboWeights, SatelliteProblem, generate_geometry
 from .schedule import Schedule, decode, violated_edges, violation_count
@@ -12,18 +11,15 @@ __all__ = [
     "AnnealResult",
     "ConflictGraph",
     "Geometry",
-    "HAVE_NUMBA",
     "QuboMatrix",
     "QuboWeights",
     "SatelliteProblem",
     "Schedule",
-    "active_backend",
     "build_conflict_graph",
     "decode",
     "energies_exhaustive",
     "energy",
     "generate_geometry",
-    "get_sweep_kernel",
     "solve",
     "temperature_schedule",
     "to_qubo",

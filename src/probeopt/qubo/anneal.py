@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .kernels import get_sweep_kernel
+from .kernels import sweep
 from .model import QuboMatrix
 
 
@@ -28,7 +28,7 @@ class AnnealParams:
 class AnnealResult:
     state: np.ndarray  # best configuration visited, int64 0/1
     energy: float  # its energy
-    steps_taken: int  # flip attempts plus per-run setup overhead
+    steps_taken: int  # flip attempts: sweeps times variables
 
 
 def temperature_schedule(params: AnnealParams) -> np.ndarray:
@@ -40,31 +40,28 @@ def temperature_schedule(params: AnnealParams) -> np.ndarray:
     return params.t_start * ratio**exponents
 
 
-def solve(
-    qubo: QuboMatrix,
-    params: AnnealParams,
-    rng: np.random.Generator,
-    use_numba: bool | None = None,
-) -> AnnealResult:
+def sweep_operands(qubo: QuboMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, symmetric couplings with a zeroed diagonal), as ``sweep`` takes them."""
+    coupling = qubo.q + qubo.q.T
+    np.fill_diagonal(coupling, 0.0)
+    return np.ascontiguousarray(np.diag(qubo.q)), coupling
+
+
+def solve(qubo: QuboMatrix, params: AnnealParams, rng: np.random.Generator) -> AnnealResult:
     """Anneal from the all-zeros state; return the best state visited.
 
-    All randomness (accept rolls, then the small setup-overhead draw that
-    models per-run bookkeeping in the step count) comes from ``rng`` in a
-    fixed order, so a given generator state fully determines the result.
+    The accept rolls are the only randomness and are drawn from ``rng``
+    up front, so a given generator state fully determines the result.
     """
     n = qubo.n
     temps = temperature_schedule(params)
     uniforms = rng.random((params.sweeps, n))
-    qdiag = np.ascontiguousarray(np.diag(qubo.q))
-    coupling = qubo.q + qubo.q.T
-    np.fill_diagonal(coupling, 0.0)
+    qdiag, coupling = sweep_operands(qubo)
     state = np.zeros(n, dtype=np.int64)
     best_state = np.zeros(n, dtype=np.int64)
-    kernel = get_sweep_kernel(use_numba)
-    _, best_energy = kernel(qdiag, coupling, temps, uniforms, state, best_state)
-    overhead = int(rng.integers(0, 2 * n + 1))
+    _, best_energy = sweep(qdiag, coupling, temps, uniforms, state, best_state)
     return AnnealResult(
         state=best_state,
         energy=float(best_energy),
-        steps_taken=params.sweeps * n + overhead,
+        steps_taken=params.sweeps * n,
     )

@@ -1,81 +1,68 @@
-"""Annealer sweep kernel: numba-jitted, with a pure-Python fallback.
+"""Annealer sweep kernel: sequential Metropolis over sparse couplings.
 
-Both backends run the exact same function body, so trajectories are
-bit-identical regardless of which one executes; the jit only changes
-speed. Backend selection: the PROBEOPT_NUMBA environment variable
-("0"/"false"/"no"/"off" disables the jit), falling back automatically
-when numba is not importable.
+The kernel is defined by the dense loop it replaces: on every flip
+attempt the local field is ``sum_j coupling[k, j] * state[j]`` over all
+``n`` columns, accumulated left to right. Each term that loop adds for an
+unselected or uncoupled column is a signed zero, and adding a signed zero
+to an accumulator that starts at +0.0 leaves it unchanged. Summing only
+the nonzero couplings of the *selected* neighbours, in index order,
+therefore reproduces every field, delta, accept decision and energy
+bit for bit at O(degree) per attempt instead of O(n). This needs finite
+couplings (``inf * 0`` is NaN), which ``QuboWeights`` enforces.
+
+The fields are recomputed on each attempt rather than carried and
+updated per accepted flip: an incremental update rounds differently and
+can change the accept decision when ``delta`` lands near zero.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from typing import Callable, Optional
+
+import numpy as np
 
 
-def _sweep_impl(qdiag, coupling, temps, uniforms, state, best_state):
+def sweep(qdiag, coupling, temps, uniforms, state, best_state):
     """Sequential single-flip Metropolis sweeps over a QUBO.
 
     qdiag: (n,) diagonal of Q. coupling: (n, n) symmetric off-diagonal
-    couplings (Q + Q^T with a zeroed diagonal). temps: (sweeps,)
-    temperature per sweep. uniforms: (sweeps, n) pre-drawn accept rolls,
-    one per flip attempt, so the trajectory is a pure function of the
-    inputs. state is mutated in place; best_state receives the lowest
-    energy configuration visited. Returns (final_energy, best_energy).
+    couplings (Q + Q^T with a zeroed diagonal), all finite. temps:
+    (sweeps,) temperature per sweep. uniforms: (sweeps, n) pre-drawn
+    accept rolls, one per flip attempt, so the trajectory is a pure
+    function of the inputs. state is mutated in place; best_state
+    receives the lowest energy configuration visited. Returns
+    (final_energy, best_energy).
     """
     n = qdiag.shape[0]
-    sweeps = temps.shape[0]
+    qd = qdiag.tolist()
+    x = state.tolist()
+    rows, cols = np.nonzero(coupling)
+    neighbours = [[] for _ in range(n)]
+    for k, j, c in zip(rows.tolist(), cols.tolist(), coupling[rows, cols].tolist()):
+        neighbours[k].append((j, c))
+
     e = 0.0
     for i in range(n):
-        if state[i] == 1:
-            e += qdiag[i]
-            for j in range(i + 1, n):
-                if state[j] == 1:
-                    e += coupling[i, j]
+        if x[i]:
+            e += qd[i]
+            for j, c in neighbours[i]:
+                if j > i and x[j]:
+                    e += c
     best = e
-    for i in range(n):
-        best_state[i] = state[i]
-    for s in range(sweeps):
-        t = temps[s]
+    best_x = x[:]
+    for t, rolls in zip(temps.tolist(), uniforms.tolist()):
         for k in range(n):
             acc = 0.0
-            for j in range(n):
-                acc += coupling[k, j] * state[j]
-            delta = (1.0 - 2.0 * state[k]) * (qdiag[k] + acc)
-            if delta <= 0.0 or uniforms[s, k] < math.exp(-delta / t):
-                state[k] = 1 - state[k]
+            for j, c in neighbours[k]:
+                if x[j]:
+                    acc += c
+            delta = -(qd[k] + acc) if x[k] else qd[k] + acc
+            if delta <= 0.0 or rolls[k] < math.exp(-delta / t):
+                x[k] = 1 - x[k]
                 e += delta
                 if e < best:
                     best = e
-                    for i in range(n):
-                        best_state[i] = state[i]
+                    best_x = x[:]
+    state[:] = x
+    best_state[:] = best_x
     return e, best
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-    _sweep_jit = njit(cache=True)(_sweep_impl)
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-    _sweep_jit = None
-
-
-def _env_wants_numba() -> bool:
-    value = os.environ.get("PROBEOPT_NUMBA", "1").strip().lower()
-    return value not in ("0", "false", "no", "off")
-
-
-def get_sweep_kernel(use_numba: Optional[bool] = None) -> Callable:
-    """Pick the sweep backend. None means honor PROBEOPT_NUMBA."""
-    if use_numba is None:
-        use_numba = _env_wants_numba()
-    if use_numba and HAVE_NUMBA:
-        return _sweep_jit
-    return _sweep_impl
-
-
-def active_backend() -> str:
-    return "numba" if (HAVE_NUMBA and _env_wants_numba()) else "python"

@@ -8,6 +8,7 @@ within half the view height of its track.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -22,8 +23,12 @@ class QuboWeights:
     w_penalty: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.w_reward <= 0 or self.w_penalty <= 0:
-            raise ConfigError("qubo weights must be positive")
+        # Non-finite weights would turn the annealer's zero terms into NaN.
+        if not (0 < self.w_reward < math.inf and 0 < self.w_penalty < math.inf):
+            raise ConfigError(
+                f"qubo weights must be positive and finite, got "
+                f"w_reward={self.w_reward}, w_penalty={self.w_penalty}"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ than one implementation with itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.stats import norm
 
@@ -84,6 +86,43 @@ def all_state_energies(q):
     pair = np.sum((bits @ upper) * bits, axis=1)
     diag = bits @ np.diag(q)
     return bits, diag + pair
+
+
+def dense_sweep_reference(qdiag, coupling, temps, uniforms, state, best_state):
+    """The annealer sweep from its definition: the field re-summed densely.
+
+    Same contract as ``probeopt.qubo.kernels.sweep``: every flip attempt
+    adds ``coupling[k, j] * state[j]`` over all n columns, so it costs
+    O(sweeps * n^2). state is mutated in place; best_state receives the
+    lowest-energy configuration visited. Returns (final_energy, best_energy).
+    """
+    n = qdiag.shape[0]
+    sweeps = temps.shape[0]
+    e = 0.0
+    for i in range(n):
+        if state[i] == 1:
+            e += qdiag[i]
+            for j in range(i + 1, n):
+                if state[j] == 1:
+                    e += coupling[i, j]
+    best = e
+    for i in range(n):
+        best_state[i] = state[i]
+    for s in range(sweeps):
+        t = temps[s]
+        for k in range(n):
+            acc = 0.0
+            for j in range(n):
+                acc += coupling[k, j] * state[j]
+            delta = (1.0 - 2.0 * state[k]) * (qdiag[k] + acc)
+            if delta <= 0.0 or uniforms[s, k] < math.exp(-delta / t):
+                state[k] = 1 - state[k]
+                e += delta
+                if e < best:
+                    best = e
+                    for i in range(n):
+                        best_state[i] = state[i]
+    return e, best
 
 
 def brute_force_conflict_edges(geometry, problem):

@@ -38,6 +38,17 @@ def test_matches_scipy_reference():
     assert np.allclose(ours, ref, atol=1e-10)
 
 
+def test_matches_scipy_reference_in_the_tails():
+    # With y_best far above the GP prior mean, EI is evaluated at z near -9
+    # and below, where both terms nearly cancel; relative agreement matters.
+    z = np.linspace(-25.0, 6.0, 2001)
+    mean, var = 1.5 * z, np.full_like(z, 2.25)
+    ours = expected_improvement(mean, var, y_best=0.0, xi=0.0)
+    ref = ei_reference(mean, var, y_best=0.0, xi=0.0)
+    assert np.all(ref > 0.0)
+    assert np.allclose(ours, ref, rtol=1e-9, atol=0.0)
+
+
 def test_monotone_in_mean():
     means = np.linspace(-2.0, 2.0, 41)
     ei = expected_improvement(means, np.full_like(means, 0.5), y_best=0.0, xi=0.0)

@@ -1,0 +1,39 @@
+"""Smoke test for benchmarks/bench_anneal.py on a tiny instance."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from probeopt.qubo.problem import SatelliteProblem
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_anneal.py"
+_spec = importlib.util.spec_from_file_location("bench_anneal", _SCRIPT)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+TINY = [("2x5", SatelliteProblem(n_satellites=2, n_requests=5, view_height=0.6, turn_speed=1.0, seed=3), 4)]
+
+
+def test_report_on_tiny_instance():
+    report = bench.run(TINY, repeats=2, seed=0)
+    json.dumps(report)  # serialisable as written to BENCH_anneal.json
+    assert set(report["environment"]) >= {"commit", "nproc", "python", "numpy"}
+    (row,) = report["results"]
+    assert row["bit_identical"] is True
+    for label in ("dense", "sparse"):
+        assert len(row[label]["runs_s"]) == 2
+        assert row[label]["iqr_s"] >= 0.0
+
+
+def test_divergent_kernel_is_rejected(monkeypatch):
+    def drifting(qdiag, coupling, temps, uniforms, state, best_state):
+        final_energy, best_energy = bench.sweep(qdiag, coupling, temps, uniforms, state, best_state)
+        return final_energy, best_energy + 1e-13
+
+    monkeypatch.setattr(bench, "KERNELS", (("dense", bench.dense_sweep_reference), ("sparse", drifting)))
+    with pytest.raises(RuntimeError, match="diverged"):
+        bench.run(TINY, repeats=1, seed=0)

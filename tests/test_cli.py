@@ -119,3 +119,13 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0, proc.stderr
     assert "completed 1/1" in proc.stdout
+
+
+def test_non_finite_weights_in_problem_file_exit_two(tmp_path, capsys):
+    problem = default_problem().to_dict()
+    problem["qubo_weights"]["w_penalty"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")  # json writes a bare NaN
+    rc = main(["run", "--scenario", "bo-qubo", "--problem-json", str(path)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err

@@ -37,6 +37,14 @@ def test_validation_errors():
         QuboWeights(w_reward=0.0)
 
 
+@pytest.mark.parametrize(
+    "weights", [dict(w_penalty=float("nan")), dict(w_reward=float("inf")), dict(w_penalty=-float("inf"))]
+)
+def test_qubo_weights_must_be_finite(weights):
+    with pytest.raises(ConfigError):
+        QuboWeights(**weights)
+
+
 def test_geometry_is_seeded_and_in_unit_square():
     p = _problem(seed=123)
     g1 = generate_geometry(p)
