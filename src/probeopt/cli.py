@@ -87,6 +87,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.problem_json is not None:
             cfg.problem = _load_problem(args.problem_json)
         result = run_scenario(cfg)
+    except TimeoutError as exc:
+        # An OSError subclass, but the input was fine: the run overran.
+        print(f"error: run timed out: {exc}", file=sys.stderr)
+        return 3
     except (ProbeoptError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,14 @@ would send, so tests can predict every reply.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import ProbeoptError, ConfigError
 from .qubo.anneal import AnnealParams, solve
-from .qubo.conflict import build_conflict_graph
+from .qubo.conflict import ConflictGraph, build_conflict_graph
 from .qubo.model import to_qubo
 from .qubo.problem import SatelliteProblem, generate_geometry
 from .qubo.schedule import decode
@@ -76,6 +77,18 @@ class EvalConfig:
     seed: int
 
 
+@lru_cache(maxsize=8)
+def conflict_graph(problem: SatelliteProblem) -> ConflictGraph:
+    """The instance's conflict graph, built once per problem.
+
+    Geometry and conflicts do not depend on the QUBO weights, which are
+    the only part of the problem a request changes. Both builders are
+    looked up in this module at call time, so patching them here sees
+    every cache miss.
+    """
+    return build_conflict_graph(generate_geometry(problem), problem)
+
+
 def evaluate_params(
     problem: SatelliteProblem,
     x: tuple[float, ...],
@@ -86,8 +99,7 @@ def evaluate_params(
     w_penalty, t_start = float(x[0]), float(x[1])
     tuned = problem.with_weights(w_penalty=w_penalty)
     params = replace(solver, t_start=t_start)
-    geometry = generate_geometry(tuned)
-    graph = build_conflict_graph(geometry, tuned)
+    graph = conflict_graph(problem)
     if graph.n == 0:
         return 0
     qubo = to_qubo(graph, tuned.qubo_weights)

@@ -10,9 +10,16 @@ therefore reproduces every field, delta, accept decision and energy
 bit for bit at O(degree) per attempt instead of O(n). This needs finite
 couplings (``inf * 0`` is NaN), which ``QuboWeights`` enforces.
 
-The fields are recomputed on each attempt rather than carried and
-updated per accepted flip: an incremental update rounds differently and
-can change the accept decision when ``delta`` lands near zero.
+Each variable's flip delta is carried between attempts and recomputed
+only when it may have changed. With a zero coupling diagonal, variable
+k's field does not depend on ``state[k]``, so it changes only when a
+neighbour flips: a rejected attempt keeps its delta, an accepted flip of
+k leaves k's delta exactly negated (IEEE negation is exact) and marks
+the deltas of k's neighbours stale. A stale delta is re-summed from the
+definition as above, so every delta the kernel uses is bit-equal to the
+dense one. Carried values are never added to: an incremental
+``field += c`` update rounds differently and can change the accept
+decision when ``delta`` lands near zero.
 """
 
 from __future__ import annotations
@@ -33,13 +40,17 @@ def sweep(qdiag, coupling, temps, uniforms, state, best_state):
     receives the lowest energy configuration visited. Returns
     (final_energy, best_energy).
     """
+    if np.any(np.diagonal(coupling)):
+        raise ValueError("coupling diagonal must be zero: carried flip deltas rely on it")
     n = qdiag.shape[0]
     qd = qdiag.tolist()
     x = state.tolist()
     rows, cols = np.nonzero(coupling)
     neighbours = [[] for _ in range(n)]
+    readers = [[] for _ in range(n)]  # readers[j]: the rows whose field reads x[j]
     for k, j, c in zip(rows.tolist(), cols.tolist(), coupling[rows, cols].tolist()):
         neighbours[k].append((j, c))
+        readers[j].append(k)
 
     e = 0.0
     for i in range(n):
@@ -50,19 +61,28 @@ def sweep(qdiag, coupling, temps, uniforms, state, best_state):
                     e += c
     best = e
     best_x = x[:]
+    exp = math.exp
+    deltas = [None] * n  # carried flip delta per variable; None when stale
     for t, rolls in zip(temps.tolist(), uniforms.tolist()):
         for k in range(n):
-            acc = 0.0
-            for j, c in neighbours[k]:
-                if x[j]:
-                    acc += c
-            delta = -(qd[k] + acc) if x[k] else qd[k] + acc
-            if delta <= 0.0 or rolls[k] < math.exp(-delta / t):
+            delta = deltas[k]
+            if delta is None:
+                acc = 0.0
+                for j, c in neighbours[k]:
+                    if x[j]:
+                        acc += c
+                delta = -(qd[k] + acc) if x[k] else qd[k] + acc
+            if delta <= 0.0 or rolls[k] < exp(-delta / t):
                 x[k] = 1 - x[k]
                 e += delta
+                for j in readers[k]:
+                    deltas[j] = None
+                deltas[k] = -delta
                 if e < best:
                     best = e
                     best_x = x[:]
+            else:
+                deltas[k] = delta
     state[:] = x
     best_state[:] = best_x
     return e, best

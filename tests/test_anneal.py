@@ -57,8 +57,7 @@ def test_deterministic_given_generator_state():
 def test_steps_taken_accounting():
     qm = _random_qubo(np.random.default_rng(1), 8)
     result = solve(qm, AnnealParams(sweeps=30), np.random.default_rng(2))
-    base = 30 * 8
-    assert base <= result.steps_taken <= base + 2 * 8
+    assert result.steps_taken == 30 * 8
 
 
 def test_reported_energy_matches_state():
@@ -123,3 +122,40 @@ def test_kernel_matches_dense_reference_on_conflict_qubos(problem, w_penalty):
     qm = to_qubo(graph, tuned.qubo_weights)
     params = AnnealParams(sweeps=60, t_start=1.7)
     _assert_matches_dense_reference(qm, params, 7, np.zeros(graph.n, dtype=np.int64))
+
+
+# Carried flip deltas: each regime stresses one path of the kernel's delta
+# bookkeeping. Hot (t >= 20): ~98% of attempts flip, so most deltas go stale
+# before reuse. Long cold (300 sweeps at t <= 0.1): ~0.4% flip, so deltas
+# are carried for many sweeps. Single sweep: no delta is ever reused.
+# Random starts: deltas begin from arbitrary selected neighbourhoods.
+CARRIED_DELTA_REGIMES = {
+    "hot": ((1.0 / 3.0,), AnnealParams(sweeps=40, t_start=25.0, t_end=20.0), False),
+    "long-cold": ((1.37,), AnnealParams(sweeps=300, t_start=0.1, t_end=0.05), False),
+    "single-sweep": ((2.718281828,), AnnealParams(sweeps=1, t_start=1.7), False),
+    "random-start": ((1.0 / 3.0, 1.0 / 6.0, 2.37), AnnealParams(sweeps=30, t_start=2.2), True),
+}
+
+
+@pytest.mark.parametrize("problem", [default_problem(), LARGE_PROBLEM], ids=["3x12", "4x30"])
+@pytest.mark.parametrize("regime", CARRIED_DELTA_REGIMES)
+def test_carried_deltas_match_dense_reference(problem, regime):
+    penalties, params, random_start = CARRIED_DELTA_REGIMES[regime]
+    rng = np.random.default_rng(31)
+    for w_penalty in penalties:
+        tuned = problem.with_weights(w_penalty=w_penalty)
+        graph = build_conflict_graph(generate_geometry(tuned), tuned)
+        qm = to_qubo(graph, tuned.qubo_weights)
+        start = rng.integers(0, 2, size=qm.n) if random_start else np.zeros(qm.n, dtype=np.int64)
+        _assert_matches_dense_reference(qm, params, int(rng.integers(1 << 30)), start)
+
+
+def test_kernel_rejects_a_nonzero_coupling_diagonal():
+    qm = _random_qubo(np.random.default_rng(4), 5)
+    qdiag, coupling = sweep_operands(qm)
+    coupling[2, 2] = 0.5
+    temps = temperature_schedule(AnnealParams(sweeps=3))
+    uniforms = np.random.default_rng(5).random((3, 5))
+    state = np.zeros(5, dtype=np.int64)
+    with pytest.raises(ValueError, match="diagonal"):
+        sweep(qdiag, coupling, temps, uniforms, state, np.zeros_like(state))

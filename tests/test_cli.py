@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import probeopt.cli as cli
 from probeopt.cli import main
 from probeopt.harness.scenarios import default_problem
 
@@ -129,3 +130,14 @@ def test_non_finite_weights_in_problem_file_exit_two(tmp_path, capsys):
     rc = main(["run", "--scenario", "bo-qubo", "--problem-json", str(path)])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_run_timeout_exits_three(monkeypatch, capsys):
+    def overrun(cfg):
+        raise TimeoutError("run did not finish within 150.0s")
+
+    monkeypatch.setattr(cli, "run_scenario", overrun)
+    rc = main(["run", "--scenario", "bo-qubo"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "timed out" in err and "150.0s" in err

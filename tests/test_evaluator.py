@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import probeopt.evaluator as evaluator_mod
 from probeopt.errors import ConfigError
 from probeopt.evaluator import (
     EvalConfig,
@@ -15,8 +16,11 @@ from probeopt.evaluator import (
     search_space,
     solver_rng,
 )
-from probeopt.qubo.anneal import AnnealParams
-from probeopt.qubo.problem import SatelliteProblem
+from probeopt.qubo.anneal import AnnealParams, solve
+from probeopt.qubo.conflict import build_conflict_graph
+from probeopt.qubo.model import to_qubo
+from probeopt.qubo.problem import SatelliteProblem, generate_geometry
+from probeopt.qubo.schedule import decode
 from probeopt.runtime.tokens import Done, ParamVector, ResultTuple, Scalar
 from support import wire_standalone
 
@@ -156,3 +160,67 @@ def test_idle_exit_when_producer_gone():
     assert ev.step(ctx) is False  # idle but the producer may still appear
     ch["request_in"].close_producer()
     assert ev.step(ctx) is True
+
+
+# -- conflict-graph cache ---------------------------------------------------------
+
+LARGE_PROBLEM = SatelliteProblem(
+    n_satellites=4, n_requests=30, view_height=0.5, turn_speed=1.0, seed=7
+)
+
+
+def _uncached_score(problem, x, solver, rng):
+    """The whole scoring pipeline, rebuilt on every call with nothing cached."""
+    tuned = problem.with_weights(w_penalty=float(x[0]))
+    graph = build_conflict_graph(generate_geometry(tuned), tuned)
+    qubo = to_qubo(graph, tuned.qubo_weights)
+    result = solve(qubo, AnnealParams(sweeps=solver.sweeps, t_start=float(x[1])), rng)
+    return decode(result.state, graph).score
+
+
+@pytest.mark.parametrize("problem", [_problem(), LARGE_PROBLEM], ids=["3x12", "4x30"])
+def test_cached_graph_scores_equal_uncached_pipeline(problem):
+    solver = AnnealParams(sweeps=40)
+    for k, w_penalty in enumerate((0.5, 1.0 / 3.0, 1.37, 2.0, 7.9)):
+        x = (w_penalty, 1.5)
+        cached = evaluate_params(problem, x, solver, solver_rng(3, k))
+        assert cached == _uncached_score(problem, x, solver, solver_rng(3, k))
+
+
+def _count_builds(monkeypatch):
+    built = []
+    real = evaluator_mod.build_conflict_graph
+
+    def counting(geometry, problem):
+        built.append(problem)
+        return real(geometry, problem)
+
+    evaluator_mod.conflict_graph.cache_clear()
+    monkeypatch.setattr(evaluator_mod, "build_conflict_graph", counting)
+    return built
+
+
+def test_graph_built_once_per_problem_across_requests(monkeypatch):
+    built = _count_builds(monkeypatch)
+    cfg = _config(seed=5, lat=(1, 1), sweeps=10)
+    ev = SchedulingEvaluator("ev", cfg)
+    ctx, ch, _, _ = wire_standalone(ev)
+    for x in [(2.0, 2.0), (0.7, 4.5), (7.5, 0.6), (3.3, 1.1)]:
+        ch["request_in"].send(ParamVector(x))
+        ev.step(ctx)
+        ch["result_out"].recv()
+    assert ev.served == 4
+    assert built == [cfg.problem]
+
+
+def test_distinct_problems_get_distinct_graphs(monkeypatch):
+    built = _count_builds(monkeypatch)
+    other = SatelliteProblem(n_satellites=3, n_requests=12, view_height=0.4, turn_speed=1.0, seed=8)
+    solver = AnnealParams(sweeps=10)
+    for problem in (_problem(), other, _problem(), other):
+        evaluate_params(problem, (2.0, 2.0), solver, solver_rng(1, 0))
+    assert built == [_problem(), other]
+    graphs = [evaluator_mod.conflict_graph(p) for p in (_problem(), other)]
+    assert graphs[0] != graphs[1]
+    for problem, graph in zip((_problem(), other), graphs):
+        assert graph == build_conflict_graph(generate_geometry(problem), problem)
