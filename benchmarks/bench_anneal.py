@@ -1,4 +1,4 @@
-"""Annealing sweep kernel benchmark: package kernel against the dense definition.
+"""Annealing sweep kernel benchmark: sparse kernel against the dense definition.
 
 For each conflict-graph instance (12, 54 and 316 nodes) the script builds
 the kernel inputs exactly as ``probeopt.qubo.anneal.solve`` does, draws
@@ -16,17 +16,9 @@ energy and best energy, compared with ``==``. Each kernel runs
 ``--repeats`` times; the report gives every run and their median and
 interquartile range, plus the commit, ``nproc``, Python and numpy.
 
-``--baseline FILE`` takes a report this script wrote at an earlier commit
-with the same ``--seed`` and ``--repeats``, checks that it measured the
-same instances to the same best energies, embeds it under ``baseline``
-and adds each instance's ``speedup_vs_baseline`` (baseline ``sparse``
-median over this run's). That gives one file with before and after
-numbers on the same inputs.
-
 Run from the repository root:
 
     python3 benchmarks/bench_anneal.py [--repeats 5] [--seed 42] [--out BENCH_anneal.json]
-                                       [--baseline BEFORE.json]
 """
 
 from __future__ import annotations
@@ -145,7 +137,7 @@ def run(instances, repeats, seed):
         )
         rows.append(row)
     return {
-        "benchmark": "anneal sweep kernel: dense definition vs probeopt.qubo.kernels.sweep (sparse)",
+        "benchmark": "anneal sweep kernel, dense definition (before) vs sparse kernel (after)",
         "environment": environment(),
         "repeats": repeats,
         "seed": seed,
@@ -154,34 +146,13 @@ def run(instances, repeats, seed):
     }
 
 
-def attach_baseline(report, baseline):
-    """Embed an earlier report measured on the same inputs; raise ValueError if it was not."""
-    for key in ("seed", "repeats", "w_penalty"):
-        if baseline[key] != report[key]:
-            raise ValueError(f"baseline {key} {baseline[key]!r} differs from {report[key]!r}")
-    before = {row["instance"]: row for row in baseline["results"]}
-    for row in report["results"]:
-        old = before.get(row["instance"])
-        same = ("nodes", "edges", "sweeps", "best_energy")
-        if old is None or any(old[key] != row[key] for key in same):
-            raise ValueError(f"baseline did not measure instance {row['instance']} on the same inputs")
-        row["speedup_vs_baseline"] = old["sparse"]["median_s"] / row["sparse"]["median_s"]
-    report["baseline"] = {key: baseline[key] for key in ("benchmark", "environment", "results")}
-    return report
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_anneal.json")
-    parser.add_argument("--baseline", type=Path, help="report from an earlier commit, same seed and repeats")
     args = parser.parse_args(argv)
     report = run(INSTANCES, args.repeats, args.seed)
-    if args.baseline is not None:
-        attach_baseline(report, json.loads(args.baseline.read_text(encoding="utf-8")))
-        for row in report["results"]:
-            print(f"{row['instance']:>6}: x{row['speedup_vs_baseline']:.2f} against the baseline kernel")
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

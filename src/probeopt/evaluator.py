@@ -77,12 +77,13 @@ class EvalConfig:
     seed: int
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def conflict_graph(problem: SatelliteProblem) -> ConflictGraph:
     """The instance's conflict graph, built once per problem.
 
     Geometry and conflicts do not depend on the QUBO weights, which are
-    the only part of the problem a request changes. Both builders are
+    the only part of the problem a request changes. A run tunes one
+    problem, so one cached graph serves all its requests. Both builders are
     looked up in this module at call time, so patching them here sees
     every cache miss.
     """

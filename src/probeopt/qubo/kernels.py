@@ -15,11 +15,12 @@ only when it may have changed. With a zero coupling diagonal, variable
 k's field does not depend on ``state[k]``, so it changes only when a
 neighbour flips: a rejected attempt keeps its delta, an accepted flip of
 k leaves k's delta exactly negated (IEEE negation is exact) and marks
-the deltas of k's neighbours stale. A stale delta is re-summed from the
-definition as above, so every delta the kernel uses is bit-equal to the
-dense one. Carried values are never added to: an incremental
-``field += c`` update rounds differently and can change the accept
-decision when ``delta`` lands near zero.
+the deltas of k's neighbours stale; the coupling is symmetric, so those
+are exactly the variables whose field reads ``state[k]``. A stale delta
+is re-summed from the definition as above, so every delta the kernel
+uses is bit-equal to the dense one. Carried values are never added to:
+an incremental ``field += c`` update rounds differently and can change
+the accept decision when ``delta`` lands near zero.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ def sweep(qdiag, coupling, temps, uniforms, state, best_state):
     """
     if np.any(np.diagonal(coupling)):
         raise ValueError("coupling diagonal must be zero: carried flip deltas rely on it")
+    if not np.array_equal(coupling, coupling.T):
+        raise ValueError("coupling must be symmetric: carried flip deltas rely on it")
     n = qdiag.shape[0]
     qd = qdiag.tolist()
     x = state.tolist()
     rows, cols = np.nonzero(coupling)
     neighbours = [[] for _ in range(n)]
-    readers = [[] for _ in range(n)]  # readers[j]: the rows whose field reads x[j]
     for k, j, c in zip(rows.tolist(), cols.tolist(), coupling[rows, cols].tolist()):
         neighbours[k].append((j, c))
-        readers[j].append(k)
 
     e = 0.0
     for i in range(n):
@@ -75,7 +76,7 @@ def sweep(qdiag, coupling, temps, uniforms, state, best_state):
             if delta <= 0.0 or rolls[k] < exp(-delta / t):
                 x[k] = 1 - x[k]
                 e += delta
-                for j in readers[k]:
+                for j, _ in neighbours[k]:
                     deltas[j] = None
                 deltas[k] = -delta
                 if e < best:

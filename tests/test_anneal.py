@@ -150,12 +150,17 @@ def test_carried_deltas_match_dense_reference(problem, regime):
         _assert_matches_dense_reference(qm, params, int(rng.integers(1 << 30)), start)
 
 
-def test_kernel_rejects_a_nonzero_coupling_diagonal():
+@pytest.mark.parametrize(
+    "entry, value, message",
+    [((2, 2), 0.5, "diagonal"), ((1, 3), 0.25, "symmetric")],
+    ids=["nonzero-diagonal", "asymmetric"],
+)
+def test_kernel_rejects_couplings_carried_deltas_cannot_follow(entry, value, message):
     qm = _random_qubo(np.random.default_rng(4), 5)
     qdiag, coupling = sweep_operands(qm)
-    coupling[2, 2] = 0.5
+    coupling[entry] += value
     temps = temperature_schedule(AnnealParams(sweeps=3))
     uniforms = np.random.default_rng(5).random((3, 5))
     state = np.zeros(5, dtype=np.int64)
-    with pytest.raises(ValueError, match="diagonal"):
+    with pytest.raises(ValueError, match=message):
         sweep(qdiag, coupling, temps, uniforms, state, np.zeros_like(state))

@@ -37,18 +37,3 @@ def test_divergent_kernel_is_rejected(monkeypatch):
     monkeypatch.setattr(bench, "KERNELS", (("dense", bench.dense_sweep_reference), ("sparse", drifting)))
     with pytest.raises(RuntimeError, match="diverged"):
         bench.run(TINY, repeats=1, seed=0)
-
-
-def test_baseline_on_the_same_inputs_is_attached():
-    baseline = bench.run(TINY, repeats=1, seed=0)
-    report = bench.attach_baseline(bench.run(TINY, repeats=1, seed=0), baseline)
-    json.dumps(report)
-    assert report["baseline"]["results"] == baseline["results"]
-    (row,) = report["results"]
-    assert row["speedup_vs_baseline"] > 0.0
-
-
-def test_baseline_on_other_inputs_is_rejected():
-    baseline = bench.run(TINY, repeats=1, seed=1)
-    with pytest.raises(ValueError, match="seed"):
-        bench.attach_baseline(bench.run(TINY, repeats=1, seed=0), baseline)

@@ -217,10 +217,12 @@ def test_distinct_problems_get_distinct_graphs(monkeypatch):
     built = _count_builds(monkeypatch)
     other = SatelliteProblem(n_satellites=3, n_requests=12, view_height=0.4, turn_speed=1.0, seed=8)
     solver = AnnealParams(sweeps=10)
-    for problem in (_problem(), other, _problem(), other):
+    graphs = []
+    for problem in (_problem(), _problem(), other, other):
         evaluate_params(problem, (2.0, 2.0), solver, solver_rng(1, 0))
+        graphs.append(evaluator_mod.conflict_graph(problem))
     assert built == [_problem(), other]
-    graphs = [evaluator_mod.conflict_graph(p) for p in (_problem(), other)]
-    assert graphs[0] != graphs[1]
-    for problem, graph in zip((_problem(), other), graphs):
+    assert graphs[0] is graphs[1] and graphs[2] is graphs[3]
+    assert graphs[0] != graphs[2]
+    for problem, graph in ((_problem(), graphs[0]), (other, graphs[2])):
         assert graph == build_conflict_graph(generate_geometry(problem), problem)
