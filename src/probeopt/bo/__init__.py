@@ -1,7 +1,7 @@
 """Gaussian-process surrogate search components."""
 
 from .acquisition import expected_improvement
-from .gp import GPHyper, GPModel, gp_fit, gp_predict, kernel_matrix, sq_exp_kernel
+from .gp import GPHyper, GPModel, gp_fit, gp_predict, kernel_matrix
 from .search import BayesSearch, Observation, SearchSpace, default_hyper, draw_candidates
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "gp_fit",
     "gp_predict",
     "kernel_matrix",
-    "sq_exp_kernel",
 ]

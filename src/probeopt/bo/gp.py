@@ -1,15 +1,20 @@
 """Gaussian-process regression with a squared-exponential kernel.
 
-Fitting factors the Gram matrix once (Cholesky); prediction reuses the
-factor through triangular solves. No matrix is ever explicitly inverted.
+A fitted model carries the lower Cholesky factor ``L`` of the noisy Gram
+matrix and its inverse ``L^-1``. Both are built by bordering: each new
+observation appends one row to each, in O(n^2), so a search that adds
+one point at a time never refactors from scratch. Carrying ``L^-1`` turns
+every triangular solve into a matrix product (``alpha = L^-T (L^-1 y)``,
+and prediction's ``v = L^-1 k*``), which keeps the module numpy-only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from ..errors import DimensionMismatch, NotPositiveDefinite
 
@@ -23,12 +28,6 @@ class GPHyper:
     def __post_init__(self) -> None:
         if self.signal_var <= 0 or self.length_scale <= 0 or self.noise_var < 0:
             raise ValueError("hyperparameters must be positive (noise may be zero)")
-
-
-def sq_exp_kernel(x: np.ndarray, x2: np.ndarray, hyper: GPHyper) -> float:
-    """k(x, x') = signal_var * exp(-|x - x'|^2 / (2 * length_scale^2))."""
-    diff = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
-    return float(hyper.signal_var * np.exp(-diff.dot(diff) / (2.0 * hyper.length_scale**2)))
 
 
 def kernel_matrix(xa: np.ndarray, xb: np.ndarray, hyper: GPHyper) -> np.ndarray:
@@ -52,28 +51,56 @@ class GPModel:
     train_x: np.ndarray  # (n, d)
     train_y: np.ndarray  # (n,)
     chol: np.ndarray  # lower-triangular L with L L^T = K + noise_var * I
-    alpha: np.ndarray  # (K + noise_var * I)^-1 y, via the factor
+    chol_inv: np.ndarray  # L^-1, lower-triangular
+    alpha: np.ndarray  # (K + noise_var * I)^-1 y = L^-T L^-1 y
 
     @property
     def n(self) -> int:
         return self.train_x.shape[0]
 
 
-def gp_fit(train_x: np.ndarray, train_y: np.ndarray, hyper: GPHyper) -> GPModel:
+def gp_fit(
+    train_x: np.ndarray,
+    train_y: np.ndarray,
+    hyper: GPHyper,
+    base: Optional[GPModel] = None,
+) -> GPModel:
+    """Fit a GP to the training set.
+
+    With ``base``, a model whose points are the leading rows of
+    ``train_x`` (same hyperparameters), only the rows after those are
+    bordered onto its factor: O(n^2) per added row instead of a refit.
+    """
     x = np.atleast_2d(np.asarray(train_x, dtype=float))
     y = np.asarray(train_y, dtype=float).ravel()
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"{x.shape[0]} points but {y.shape[0]} targets")
     if x.shape[0] == 0:
         raise DimensionMismatch("cannot fit to zero observations")
-    gram = kernel_matrix(x, x, hyper)
-    gram[np.diag_indices_from(gram)] += hyper.noise_var
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    alpha = cho_solve((chol, True), y, check_finite=False)
-    return GPModel(hyper=hyper, train_x=x, train_y=y, chol=chol, alpha=alpha)
+    start = 0 if base is None else base.n
+    if base is not None and (
+        base.hyper != hyper or start > x.shape[0] or not np.array_equal(base.train_x, x[:start])
+    ):
+        raise ValueError("base model must share the hyperparameters and leading points")
+    n = x.shape[0]
+    chol = np.zeros((n, n))
+    chol_inv = np.zeros((n, n))
+    if base is not None:
+        chol[:start, :start] = base.chol
+        chol_inv[:start, :start] = base.chol_inv
+    cols = kernel_matrix(x, x[start:], hyper)  # Gram columns of the new rows
+    for i in range(start, n):
+        l = chol_inv[:i, :i] @ cols[:i, i - start]
+        d2 = cols[i, i - start] + hyper.noise_var - l @ l
+        if not d2 > 0.0:
+            raise NotPositiveDefinite(f"Gram matrix is not positive definite at row {i}")
+        d = math.sqrt(d2)
+        chol[i, :i] = l
+        chol[i, i] = d
+        chol_inv[i, :i] = -(l @ chol_inv[:i, :i]) / d
+        chol_inv[i, i] = 1.0 / d
+    alpha = chol_inv.T @ (chol_inv @ y)
+    return GPModel(hyper=hyper, train_x=x, train_y=y, chol=chol, chol_inv=chol_inv, alpha=alpha)
 
 
 def gp_predict(model: GPModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +119,7 @@ def gp_predict(model: GPModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     kstar = kernel_matrix(model.train_x, query, model.hyper)  # (n, m)
     mean = kstar.T @ model.alpha
-    v = solve_triangular(model.chol, kstar, lower=True, check_finite=False)
+    v = model.chol_inv @ kstar
     var = model.hyper.signal_var - np.sum(v**2, axis=0)
     np.maximum(var, 0.0, out=var)
     if single:

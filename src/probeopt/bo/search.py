@@ -106,10 +106,11 @@ class BayesSearch:
         return cands[int(np.argmax(ei))].copy()
 
     def update(self, obs: Observation) -> None:
+        """Fold in one observation by bordering the model's factor, O(n^2)."""
         x = np.asarray(obs.x, dtype=float)
         if not self.space.contains(x):
             raise OutOfBounds(f"{obs.x} outside {self.space.lower}..{self.space.upper}")
         self.observations.append(obs)
         xs = np.array([o.x for o in self.observations], dtype=float)
         ys = np.array([o.y for o in self.observations], dtype=float)
-        self.model = gp_fit(xs, ys, self.hyper)
+        self.model = gp_fit(xs, ys, self.hyper, base=self.model)

@@ -3,7 +3,7 @@
 from .channel import Channel, ChannelHooks, ProbeResult
 from .graph import Mode, ProcessGraph, RunHandle, RunLimits, RunReport
 from .process import Direction, PortSpec, Process, ProcessContext, RefPortHandle, RefVar
-from .timesource import RealTime, SleepPolicy, TimeSource, VirtualClock
+from .timesource import SleepPolicy, TimeSource, VirtualClock
 from .tokens import Command, CommandKind, Done, ParamVector, ResultTuple, Scalar, Token
 from .trace import ListRecorder, Recorder
 
@@ -22,7 +22,6 @@ __all__ = [
     "Process",
     "ProcessContext",
     "ProcessGraph",
-    "RealTime",
     "Recorder",
     "RefPortHandle",
     "RefVar",

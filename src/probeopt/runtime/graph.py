@@ -6,8 +6,13 @@ Two execution modes:
   registration order. A process that blocks inside its step stalls the
   whole round, which is exactly how lockstep schedules deadlock when one
   side waits on data the other has not produced yet.
-* ``ASYNC``: one thread per process, free-running. Processes coordinate
-  through channels, probes and sleeps only.
+* ``ASYNC``: free-running. Processes coordinate through channels, probes
+  and sleeps only. On wall-clock time each process has its own thread.
+  On a ``VirtualClock`` (a paced run) one driver thread steps them all,
+  giving each turn to the process that holds the clock's floor.
+
+All three drivers share one turn: command check, then one step unless
+the process is paused.
 
 A watchdog thread monitors a global progress counter (sends, recvs,
 probes, issued commands and completed steps all count). If nothing
@@ -37,11 +42,14 @@ from ..errors import (
 )
 from .channel import Channel, ChannelHooks
 from .process import Direction, PortSpec, Process, ProcessContext, RefPortHandle
-from .timesource import TimeSource
+from .timesource import TimeSource, VirtualClock
 from .tokens import Command, CommandKind
 from .trace import Recorder
 
 log = logging.getLogger(__name__)
+
+# Sleep between turns of a paused process, unless its step interval is longer.
+_PAUSE_POLL_S = 0.005
 
 
 class Mode(Enum):
@@ -228,7 +236,7 @@ class ProcessGraph:
 
 
 class _Run:
-    """One execution of a graph: threads, watchdog, report assembly."""
+    """One execution of a graph: driver threads, watchdog, report assembly."""
 
     def __init__(
         self,
@@ -248,6 +256,7 @@ class _Run:
         self.finished = threading.Event()
         self._live_lock = threading.Lock()
         self._live = 0
+        self._finished_procs: set[str] = set()
         self.deadlock = False
         self.diagnostic: Optional[str] = None
         self.errors: dict[str, str] = {}
@@ -269,26 +278,24 @@ class _Run:
                 self.hooks.progress,
             )
         self.t_start = time.monotonic()
-        if self.mode is Mode.ASYNC:
-            # Register every participant before any thread moves, otherwise
-            # an early thread could act while the clock's floor is undefined.
+        if self.mode is Mode.SYNC_BARRIER:
+            mains = [("sync-driver", self._sync_main, ())]
+        elif isinstance(self.ts, VirtualClock):
+            # Register every participant before the driver asks for the floor.
             for proc in graph._order:
                 self.ts.register(proc.name)
-            for proc in graph._order:
-                t = threading.Thread(
-                    target=self._async_main, args=(proc,), name=f"proc:{proc.name}", daemon=True
-                )
-                self.threads.append(t)
-            self._live = len(self.threads)
-            for t in self.threads:
-                t.start()
+            mains = [("paced-driver", self._paced_main, ())]
         else:
-            t = threading.Thread(target=self._sync_main, name="sync-driver", daemon=True)
-            self.threads.append(t)
-            self._live = 1
-            t.start()
+            mains = [(f"proc:{p.name}", self._async_main, (p,)) for p in graph._order]
+        self.threads = [
+            threading.Thread(target=target, args=args, name=name, daemon=True)
+            for name, target, args in mains
+        ]
+        self._live = len(self.threads)
         self.watchdog = threading.Thread(target=self._watchdog_main, name="watchdog", daemon=True)
         self.watchdog.start()
+        for t in self.threads:
+            t.start()
 
     def _main_exited(self) -> None:
         """Last main thread out marks the run finished.
@@ -313,7 +320,6 @@ class _Run:
             channel.abort()
         for channel in self.graph._mgmt.values():
             channel.abort()
-        self.ts.abort()
 
     def _watchdog_main(self) -> None:
         timeout = self.limits.watchdog_timeout
@@ -340,124 +346,144 @@ class _Run:
             detail = "no process blocked on a port (stalled outside channel ops)"
         return f"no progress for {timeout:g}s: {detail}"
 
-    # -- async mode -----------------------------------------------------------
+    # -- the turn every driver runs -----------------------------------------------
 
-    def _async_main(self, proc: Process) -> None:
-        ctx = self.ctxs[proc.name]
+    def _setup(self, proc: Process) -> bool:
+        """Run ``proc.setup``. A crash is recorded and finishes the process."""
         try:
-            proc.setup(ctx)
-            self.ts.gate(proc.name)
-            while not self.aborted.is_set() and ctx.steps < self.limits.max_steps:
-                if not proc.handles_commands:
-                    cmd = ctx.check_command()
-                    if cmd is CommandKind.STOP:
-                        break
-                    if cmd is CommandKind.PAUSE:
-                        if not self._pause_wait(proc, ctx):
-                            break
-                        continue
-                finished = proc.step(ctx)
-                ctx.steps += 1
-                self.hooks.progress()
-                if finished:
-                    break
-                ctx.sleep(proc.step_interval)
-        except (Disconnected, RunAborted):
-            pass
+            proc.setup(self.ctxs[proc.name])
+            return True
+        except Exception as exc:  # noqa: BLE001
+            self.errors[proc.name] = f"setup: {type(exc).__name__}: {exc}"
+            self._finish_proc(proc)
+            return False
+
+    def _turn(self, proc: Process, ctx: ProcessContext, paused: set[str]) -> bool:
+        """Command check, then one step unless the process is paused.
+
+        Returns True once the process is done: it took Stop, its step said
+        so, a peer disconnected, or the step crashed (recorded in
+        ``errors``). RunAborted propagates: the whole run is unwinding.
+        """
+        if not proc.handles_commands:
+            cmd = ctx.check_command()
+            if cmd is CommandKind.STOP:
+                return True
+            if cmd is CommandKind.PAUSE:
+                paused.add(proc.name)
+            elif cmd is CommandKind.RUN:
+                paused.discard(proc.name)
+        if proc.name in paused:
+            return False
+        try:
+            finished = proc.step(ctx)
+        except Disconnected:
+            finished = True
+        except RunAborted:
+            raise
         except Exception as exc:  # noqa: BLE001 - a crashed process must not hang the run
             log.exception("process %s crashed", proc.name)
             self.errors[proc.name] = f"{type(exc).__name__}: {exc}"
+            finished = True
+        ctx.steps += 1
+        self.hooks.progress()
+        return finished
+
+    @staticmethod
+    def _rest(proc: Process, paused: set[str]) -> float:
+        """How long a free-running process sleeps after a turn."""
+        if proc.name in paused:
+            return max(proc.step_interval, _PAUSE_POLL_S)
+        return proc.step_interval
+
+    def _finish_proc(self, proc: Process) -> None:
+        if proc.name in self._finished_procs:
+            return
+        self._finished_procs.add(proc.name)
+        try:
+            proc.finish(self.ctxs[proc.name])
+        except Exception as exc:  # noqa: BLE001
+            self.errors.setdefault(proc.name, f"finish: {type(exc).__name__}: {exc}")
+        self.graph._mark_terminated(proc)
+        self.hooks.progress()
+
+    # -- drivers ----------------------------------------------------------------
+
+    def _async_main(self, proc: Process) -> None:
+        """Wall-clock free-running: this thread drives ``proc`` alone."""
+        ctx = self.ctxs[proc.name]
+        paused: set[str] = set()
+        try:
+            if self._setup(proc):
+                self.ts.gate(proc.name)
+                while not self.aborted.is_set() and ctx.steps < self.limits.max_steps:
+                    if self._turn(proc, ctx, paused):
+                        break
+                    ctx.sleep(self._rest(proc, paused))
+        except RunAborted:
+            pass
         finally:
-            try:
-                proc.finish(ctx)
-            except Exception as exc:  # noqa: BLE001
-                self.errors.setdefault(proc.name, f"finish: {type(exc).__name__}: {exc}")
-            self.graph._mark_terminated(proc)
-            self.ts.unregister(proc.name)
-            self.hooks.progress()
+            self._finish_proc(proc)
             self._main_exited()
 
-    def _pause_wait(self, proc: Process, ctx: ProcessContext) -> bool:
-        """Hold the process until Run (True) or Stop/abort (False)."""
-        interval = max(proc.step_interval, 0.005)
-        while not self.aborted.is_set():
-            cmd = ctx.check_command()
-            if cmd is CommandKind.RUN:
-                return True
-            if cmd is CommandKind.STOP:
-                return False
-            ctx.sleep(interval)
-        return False
+    def _paced_main(self) -> None:
+        """Paced free-running: every turn goes to the clock's floor holder.
 
-    # -- sync barrier mode ------------------------------------------------------
+        This is the interleaving the clock defines: a process acts only
+        while its (time, name) is the smallest, and its sleeps move it on.
+        """
+        clock = self.ts
+        assert isinstance(clock, VirtualClock)
+        paused: set[str] = set()
+        try:
+            for proc in self.graph._order:
+                if not self._setup(proc):
+                    clock.unregister(proc.name)
+            while not self.aborted.is_set():
+                name = clock.floor()
+                if name is None:
+                    break
+                proc, ctx = self.graph._procs[name], self.ctxs[name]
+                clock.gate(name)
+                if ctx.steps >= self.limits.max_steps or self._turn(proc, ctx, paused):
+                    self._finish_proc(proc)
+                    clock.unregister(name)
+                else:
+                    ctx.sleep(self._rest(proc, paused))
+        except RunAborted:
+            pass
+        finally:
+            for proc in self.graph._order:
+                self._finish_proc(proc)
+            self._main_exited()
 
     def _sync_main(self) -> None:
-        graph = self.graph
-        order = list(graph._order)
+        order = [proc for proc in self.graph._order if self._setup(proc)]
         paused: set[str] = set()
-        done: set[str] = set()
-        for proc in order:
-            try:
-                proc.setup(self.ctxs[proc.name])
-            except Exception as exc:  # noqa: BLE001
-                self.errors[proc.name] = f"setup: {type(exc).__name__}: {exc}"
-                done.add(proc.name)
         try:
             for _round in range(1, self.limits.max_steps + 1):
-                if self.aborted.is_set():
-                    break
-                live = [p for p in order if p.name not in done]
-                if not live:
+                live = [p for p in order if p.name not in self._finished_procs]
+                if not live or self.aborted.is_set():
                     break
                 stepped = 0
                 for proc in live:
                     if self.aborted.is_set():
                         break
                     ctx = self.ctxs[proc.name]
-                    if not proc.handles_commands:
-                        cmd = ctx.check_command()
-                        if cmd is CommandKind.STOP:
-                            done.add(proc.name)
-                            self._finish_proc(proc, ctx)
-                            continue
-                        if cmd is CommandKind.PAUSE:
-                            paused.add(proc.name)
-                        elif cmd is CommandKind.RUN:
-                            paused.discard(proc.name)
-                    if proc.name in paused:
-                        continue
-                    try:
-                        finished = proc.step(ctx)
-                    except RunAborted:
-                        break
-                    except Disconnected:
-                        finished = True
-                    except Exception as exc:  # noqa: BLE001
-                        log.exception("process %s crashed", proc.name)
-                        self.errors[proc.name] = f"{type(exc).__name__}: {exc}"
-                        finished = True
-                    ctx.steps += 1
-                    stepped += 1
-                    self.hooks.progress()
-                    if finished:
-                        done.add(proc.name)
-                        self._finish_proc(proc, ctx)
+                    before = ctx.steps
+                    if self._turn(proc, ctx, paused):
+                        self._finish_proc(proc)
+                    stepped += ctx.steps - before
                 if stepped == 0 and not self.aborted.is_set():
                     # All live processes paused: the barrier itself is alive.
                     self.hooks.progress()
                     time.sleep(0.0005)
+        except RunAborted:
+            pass
         finally:
             for proc in order:
-                if proc.name not in done:
-                    self._finish_proc(proc, self.ctxs[proc.name])
+                self._finish_proc(proc)
             self._main_exited()
-
-    def _finish_proc(self, proc: Process, ctx: ProcessContext) -> None:
-        try:
-            proc.finish(ctx)
-        except Exception as exc:  # noqa: BLE001
-            self.errors.setdefault(proc.name, f"finish: {type(exc).__name__}: {exc}")
-        self.graph._mark_terminated(proc)
 
     # -- completion -----------------------------------------------------------
 

@@ -1,22 +1,21 @@
 """Sleep policies and pluggable time sources.
 
-``RealTime`` is the normal mode: sleeps are wall-clock. ``VirtualClock``
-replaces wall-clock sleeps with a shared logical clock so a free-running
-multi-threaded run becomes reproducible: every participant owns a local
-time, and only the participant holding the strict (time, name) minimum may
-act. Sleeping advances local time and yields the floor. Threads, channels
-and probes stay real; only the interleaving of sleeps is serialized.
+``TimeSource`` is the normal mode: sleeps are wall-clock and every
+process of a free-running run has its own thread. ``VirtualClock``
+replaces wall-clock sleeps with per-process logical times so a
+free-running run becomes reproducible: the graph then runs every process
+on one driver thread and gives each turn to the process that holds the
+floor, the smallest (time, name) pair. A sleep only advances the
+sleeper's time, so in a paced run a sleep ends the process's turn.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
+from typing import Optional
 
-from ..errors import ConfigError, RunAborted
-
-_WAIT_SLICE_S = 0.2
+from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -46,81 +45,47 @@ class SleepPolicy:
 
 
 class TimeSource:
-    """Wall-clock time. register/gate are no-ops; sleep really sleeps."""
-
-    def register(self, name: str) -> None:
-        pass
-
-    def unregister(self, name: str) -> None:
-        pass
+    """Wall-clock time. gate is a no-op; sleep really sleeps."""
 
     def gate(self, name: str) -> None:
-        """Block until ``name`` may act. No-op in real time."""
+        """Called as ``name`` is about to act. No-op in real time."""
 
     def sleep(self, name: str, duration: float) -> None:
         if duration > 0:
             time.sleep(duration)
-
-    def abort(self) -> None:
-        pass
-
-
-RealTime = TimeSource
 
 
 class VirtualClock(TimeSource):
     """Deterministic logical time shared by a set of named participants.
 
     The participant with the lexicographically smallest (time, name) pair
-    holds the floor; everyone else waits in ``gate``. Ties are broken by
-    name, so given fixed participant names the full interleaving of paced
-    actions is a pure function of the sleep durations requested.
+    holds the floor, and the run's driver steps only that participant.
+    Ties are broken by name, so given fixed participant names the full
+    interleaving of paced turns is a pure function of the sleep durations
+    requested. Work a step does after sleeping still happens before any
+    other participant's turn.
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
         self._times: dict[str, float] = {}
-        self._aborted = False
 
     def register(self, name: str) -> None:
-        with self._cond:
-            if name in self._times:
-                raise ConfigError(f"duplicate clock participant {name!r}")
-            self._times[name] = 0.0
-            self._cond.notify_all()
+        if name in self._times:
+            raise ConfigError(f"duplicate clock participant {name!r}")
+        self._times[name] = 0.0
 
     def unregister(self, name: str) -> None:
-        with self._cond:
-            self._times.pop(name, None)
-            self._cond.notify_all()
+        self._times.pop(name, None)
 
-    def _holds_floor(self, name: str) -> bool:
-        me = self._times.get(name)
-        if me is None:
-            return True  # not paced (or already unregistered): never block
-        return min(self._times.items(), key=lambda kv: (kv[1], kv[0]))[0] == name
+    def floor(self) -> Optional[str]:
+        """The participant whose turn is next; None once none is left."""
+        if not self._times:
+            return None
+        return min(self._times, key=lambda name: (self._times[name], name))
 
     def gate(self, name: str) -> None:
-        with self._cond:
-            while not self._holds_floor(name):
-                if self._aborted:
-                    raise RunAborted("virtual clock aborted")
-                self._cond.wait(_WAIT_SLICE_S)
-            if self._aborted:
-                raise RunAborted("virtual clock aborted")
+        """No-op: the driver only gives a turn to the floor holder."""
 
     def sleep(self, name: str, duration: float) -> None:
-        with self._cond:
-            if name in self._times:
-                self._times[name] += max(duration, 0.0)
-                self._cond.notify_all()
-        self.gate(name)
-
-    def abort(self) -> None:
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
-
-    def now(self, name: str) -> float:
-        with self._cond:
-            return self._times.get(name, 0.0)
+        if name in self._times:
+            self._times[name] += max(duration, 0.0)

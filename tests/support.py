@@ -21,6 +21,12 @@ from probeopt.runtime.trace import ListRecorder
 # -- GP oracle: explicit dense inverse, no Cholesky --------------------------
 
 
+def sq_exp_kernel(x, x2, signal_var, length_scale):
+    """k(x, x') = signal_var * exp(-|x - x'|^2 / (2 * length_scale^2))."""
+    diff = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
+    return float(signal_var * np.exp(-diff.dot(diff) / (2.0 * length_scale**2)))
+
+
 def dense_gp_predict(train_x, train_y, signal_var, length_scale, noise_var, query):
     """Posterior mean/variance via an explicit matrix inverse."""
     train_x = np.atleast_2d(np.asarray(train_x, dtype=float))

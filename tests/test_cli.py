@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -141,3 +142,23 @@ def test_run_timeout_exits_three(monkeypatch, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "timed out" in err and "150.0s" in err
+
+
+def test_bo_qubo_seed_7_trajectory_is_pinned(tmp_path):
+    """The headline run's iterations.jsonl, byte for byte, at the CLI's defaults."""
+    rc = main(["run", "--scenario", "bo-qubo", "--seed", "7", "--out", str(tmp_path)])
+    assert rc == 0
+    digest = hashlib.md5((tmp_path / "iterations.jsonl").read_bytes()).hexdigest()
+    assert digest == "032c72007c3ec2eb23ae5d74a7d183fa"
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy costs a fresh process ~0.25 s of imports; the package must not load it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, probeopt.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from probeopt.bo.gp import GPHyper, gp_fit, gp_predict, kernel_matrix, sq_exp_kernel
+from probeopt.bo.gp import GPHyper, gp_fit, gp_predict, kernel_matrix
 from probeopt.errors import DimensionMismatch, NotPositiveDefinite
-from support import dense_gp_predict
+from support import dense_gp_predict, sq_exp_kernel
 
 
 def _random_model(rng, n_max=12, d_max=3):
@@ -30,7 +30,7 @@ def test_kernel_symmetry_and_diagonal():
     k = kernel_matrix(x, x, hyper)
     assert np.allclose(k, k.T)
     assert np.allclose(np.diag(k), 1.3)
-    assert np.isclose(sq_exp_kernel(x[0], x[1], hyper), k[0, 1])
+    assert np.isclose(sq_exp_kernel(x[0], x[1], hyper.signal_var, hyper.length_scale), k[0, 1])
 
 
 def test_cholesky_factor_reconstructs_gram():
@@ -40,6 +40,9 @@ def test_cholesky_factor_reconstructs_gram():
         model = gp_fit(x, y, hyper)
         gram = kernel_matrix(x, x, hyper) + hyper.noise_var * np.eye(len(y))
         assert np.allclose(model.chol @ model.chol.T, gram, atol=1e-8)
+        assert np.allclose(model.chol_inv @ model.chol, np.eye(len(y)), atol=1e-8)
+        assert np.array_equal(model.chol, np.tril(model.chol))
+        assert np.array_equal(model.chol_inv, np.tril(model.chol_inv))
 
 
 def test_predict_matches_dense_solve_oracle():
@@ -90,6 +93,56 @@ def test_not_positive_definite_on_duplicates_without_noise():
     x = np.array([[0.5], [0.5]])
     with pytest.raises(NotPositiveDefinite):
         gp_fit(x, np.array([1.0, 1.0]), hyper)
+
+
+def test_extending_row_by_row_matches_fresh_fit_and_dense_oracle():
+    """Clustered points make the Gram matrix ill-conditioned (cond ~6e5 at
+    n=250), which is where carrying L^-1 instead of solving would drift."""
+    rng = np.random.default_rng(11)
+    hyper = GPHyper(signal_var=1.0, length_scale=0.3, noise_var=1e-4)
+    centers = rng.uniform(-1.0, 1.0, size=(5, 2))
+    x = centers[rng.integers(0, 5, size=250)] + 0.02 * rng.normal(size=(250, 2))
+    y = np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2
+    queries = np.vstack([rng.uniform(-1.2, 1.2, size=(20, 2)), x[:5] + 1e-3])
+    model = None
+    for n in range(1, 251):
+        model = gp_fit(x[:n], y[:n], hyper, base=model)
+        assert model.n == n
+        if n not in (1, 2, 10, 50, 120, 250):
+            continue
+        fresh = gp_fit(x[:n], y[:n], hyper)
+        for field in ("chol", "chol_inv", "alpha"):
+            grown, refit = getattr(model, field), getattr(fresh, field)
+            assert np.abs(grown - refit).max() <= 1e-9 * np.abs(refit).max()
+        gram = kernel_matrix(x[:n], x[:n], hyper) + hyper.noise_var * np.eye(n)
+        assert np.allclose(model.chol @ model.chol.T, gram, atol=1e-12)
+        assert np.allclose(model.chol_inv @ model.chol, np.eye(n), atol=1e-10)
+        mean, var = gp_predict(model, queries)
+        oracle_mean, oracle_var = dense_gp_predict(
+            x[:n], y[:n], hyper.signal_var, hyper.length_scale, hyper.noise_var, queries
+        )
+        assert np.allclose(mean, oracle_mean, atol=1e-8)
+        assert np.allclose(var, oracle_var, atol=1e-8)
+
+
+def test_extending_with_a_duplicate_without_noise_raises():
+    hyper = GPHyper(noise_var=0.0)
+    base = gp_fit(np.array([[0.5]]), np.array([1.0]), hyper)
+    with pytest.raises(NotPositiveDefinite):
+        gp_fit(np.array([[0.5], [0.5]]), np.array([1.0, 1.0]), hyper, base=base)
+
+
+def test_base_must_share_hyper_and_leading_points():
+    hyper = GPHyper()
+    x = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    y = np.array([1.0, 2.0, 3.0])
+    base = gp_fit(x[:2], y[:2], hyper)
+    with pytest.raises(ValueError):
+        gp_fit(x[::-1], y, hyper, base=base)
+    with pytest.raises(ValueError):
+        gp_fit(x, y, GPHyper(length_scale=0.5), base=base)
+    with pytest.raises(ValueError):
+        gp_fit(x[:1], y[:1], hyper, base=base)
 
 
 def test_dimension_mismatches_raise():

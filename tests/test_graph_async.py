@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -267,3 +268,116 @@ def test_step_limit_exhaustion_is_finished_not_deadlocked():
     assert not report.deadlock_detected
     assert not handle.aborted
     assert report.steps_executed["ticker"] == 50
+
+
+# -- paced runs: one driver thread steps every process -------------------------
+
+
+def test_paced_pause_run_and_stop_from_outside():
+    graph = ProcessGraph()
+    graph.add_process(_Counter("c"))
+    graph.add_process(_Counter("d"))
+    c, d = graph.ref_port("c", "count"), graph.ref_port("d", "count")
+    handle = graph.start(
+        Mode.ASYNC, RunLimits(max_steps=10_000_000, watchdog_timeout=5.0), time_source=VirtualClock()
+    )
+    time.sleep(0.05)
+    graph.issue_command("c", CommandKind.PAUSE)
+    time.sleep(0.05)  # let the pause land
+    frozen, moving = c.read(), d.read()
+    time.sleep(0.1)
+    assert c.read() == frozen  # no steps while paused
+    assert d.read() > moving  # the driver keeps stepping the other process
+    graph.issue_command("c", CommandKind.RUN)
+    time.sleep(0.1)
+    assert c.read() > frozen
+    graph.issue_command("c", CommandKind.STOP)
+    graph.issue_command("d", CommandKind.STOP)
+    report = handle.wait(5.0)
+    assert not report.deadlock_detected
+    assert not report.errors
+    assert graph.is_terminated("c") and graph.is_terminated("d")
+
+
+def test_paced_step_limit_exhaustion_is_finished_not_deadlocked():
+    graph = ProcessGraph()
+    graph.add_process(_Ticker("ticker"))
+    graph.add_process(_Counter("counter"))
+    handle = graph.start(
+        Mode.ASYNC, RunLimits(max_steps=50, watchdog_timeout=0.3), time_source=VirtualClock()
+    )
+    time.sleep(0.7)  # linger past the watchdog window before joining
+    report = handle.wait(5.0)
+    assert not report.deadlock_detected
+    assert not handle.aborted
+    assert report.steps_executed == {"ticker": 50, "counter": 50}
+
+
+def test_paced_crash_is_reported_and_others_run_on():
+    graph = ProcessGraph()
+    graph.add_process(_Crasher("bad"))
+    graph.add_process(_Ticker("ticker"))
+    report = graph.start(
+        Mode.ASYNC, RunLimits(max_steps=100, watchdog_timeout=2.0), time_source=VirtualClock()
+    ).wait(10.0)
+    assert "boom" in report.errors["bad"]
+    assert report.steps_executed["ticker"] == 100
+    assert not report.deadlock_detected
+
+
+class _ThreadSpy(Process):
+    """Records which thread steps it and which threads exist meanwhile."""
+
+    def __init__(self, name, before):
+        super().__init__(name)
+        self.step_interval = 0.001
+        self.before = before
+        self.stepped_on = set()
+        self.new_threads = set()
+
+    def step(self, ctx):
+        self.stepped_on.add(threading.current_thread())
+        self.new_threads |= set(threading.enumerate()) - self.before
+        return ctx.steps >= 20
+
+
+def test_paced_run_starts_one_driver_thread_plus_watchdog():
+    before = set(threading.enumerate())
+    graph = ProcessGraph()
+    spies = [graph.add_process(_ThreadSpy(name, before)) for name in ("a", "b", "c")]
+    report = graph.start(
+        Mode.ASYNC, RunLimits(max_steps=1_000, watchdog_timeout=2.0), time_source=VirtualClock()
+    ).wait(10.0)
+    assert not report.deadlock_detected and not report.errors
+    (driver,) = set.union(*(spy.stepped_on for spy in spies))
+    new_threads = set.union(*(spy.new_threads for spy in spies))
+    assert len(new_threads) == 2
+    assert driver in new_threads
+    assert {t.name for t in new_threads} - {driver.name} == {"watchdog"}
+
+
+class _Idle(Process):
+    """Owns an outbound port it never uses; sleeps every step."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.add_out_port("out")
+
+    def step(self, ctx):
+        ctx.sleep(0.001)
+        return False
+
+
+def test_paced_process_blocked_in_recv_trips_watchdog():
+    graph = ProcessGraph()
+    idle = graph.add_process(_Idle("idle"))
+    sink = graph.add_process(_DeafSink("sink"))
+    graph.connect(idle.out_port("out"), sink.in_port("never"), capacity=4)
+    t0 = time.monotonic()
+    report = graph.start(
+        Mode.ASYNC, RunLimits(max_steps=10_000, watchdog_timeout=0.4), time_source=VirtualClock()
+    ).wait(10.0)
+    assert time.monotonic() - t0 < 3.0
+    assert report.deadlock_detected
+    assert "sink blocked in recv on sink.never" in report.deadlock_diagnostic
+    assert graph.is_terminated("idle") and graph.is_terminated("sink")
