@@ -35,8 +35,8 @@ from ..qubo.anneal import AnnealParams
 from ..qubo.problem import SatelliteProblem
 from ..runtime.graph import Mode, ProcessGraph, RunLimits, RunReport
 from ..runtime.process import Process, ProcessContext
-from ..runtime.timesource import SleepPolicy, VirtualClock
-from ..runtime.tokens import Done, ParamVector, ResultTuple
+from ..runtime.timesource import VirtualClock
+from ..runtime.tokens import ParamVector, ResultTuple
 from ..runtime.trace import ListRecorder
 
 SCENARIOS = ("sync-ok", "sync-deadlock", "async-probe", "bo-qubo")
@@ -113,7 +113,9 @@ class BlockingOptimizer(Process):
 
     Alternates send and receive steps. The receive blocks, which is
     harmless when the evaluator answers within the same barrier round and
-    fatal when it does not.
+    fatal when it does not. It has no ``done`` flag: the harness reads its
+    ``completed`` count, and the evaluator stops once this process has
+    finished and its candidate port has closed.
     """
 
     def __init__(self, name: str, search: Any, budget: int) -> None:
@@ -122,7 +124,6 @@ class BlockingOptimizer(Process):
         self.budget = budget
         self.add_in_port(RESULT_PORT)
         self.add_out_port(CANDIDATE_PORT)
-        self.expose_ref("done", False)
         self.completed = 0
         self._pending: Optional[tuple[float, ...]] = None
 
@@ -141,11 +142,7 @@ class BlockingOptimizer(Process):
         else:
             ctx.emit("result_dropped", reason="echo mismatch or bad token")
         self._pending = None
-        if self.completed >= self.budget:
-            ctx.set_ref("done", True)
-            ctx.send_nowait(CANDIDATE_PORT, Done())
-            return True
-        return False
+        return self.completed >= self.budget
 
 
 # -- graph assembly -----------------------------------------------------------
@@ -167,13 +164,8 @@ def _build_graph(
     graph = ProcessGraph()
     graph.add_process(optimizer)
     graph.add_process(evaluator)
-    dims = search_space().dims
-    graph.connect(
-        optimizer.out_port(CANDIDATE_PORT), evaluator.in_port("request_in"), capacity=8, dim=dims
-    )
-    graph.connect(
-        evaluator.out_port("result_out"), optimizer.in_port(RESULT_PORT), capacity=8, dim=dims
-    )
+    graph.connect(optimizer.out_port(CANDIDATE_PORT), evaluator.in_port("request_in"), capacity=8)
+    graph.connect(evaluator.out_port("result_out"), optimizer.in_port(RESULT_PORT), capacity=8)
     return graph, evaluator
 
 
@@ -209,10 +201,10 @@ def _run_sync(cfg: ScenarioConfig, expect_deadlock: bool) -> ScenarioResult:
 
 
 def _run_async(cfg: ScenarioConfig, paced: bool) -> ScenarioResult:
-    sleep_s = cfg.sleep_ms / 1000.0
-    policy = SleepPolicy(base_delay=sleep_s, factor=1.0, max_delay=sleep_s)
     search = BayesSearch(search_space(), seed=cfg.seed)
-    optimizer = AsyncOptimizer("optimizer", search, cfg.effective_budget, sleep_policy=policy)
+    optimizer = AsyncOptimizer(
+        "optimizer", search, cfg.effective_budget, probe_sleep=cfg.sleep_ms / 1000.0
+    )
     graph, evaluator = _build_graph(cfg, optimizer, step_duration=cfg.step_ms / 1000.0)
     recorder = ListRecorder()
     clock = VirtualClock() if paced else None

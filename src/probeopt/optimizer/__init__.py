@@ -1,5 +1,5 @@
-"""Non-blocking optimizer process and its loop actions."""
+"""Non-blocking optimizer process and its done-flag poller."""
 
-from .loop import ActionKind, AsyncOptimizer, LoopAction, await_done
+from .loop import AsyncOptimizer, await_done
 
-__all__ = ["ActionKind", "AsyncOptimizer", "LoopAction", "await_done"]
+__all__ = ["AsyncOptimizer", "await_done"]

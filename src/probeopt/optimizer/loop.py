@@ -1,51 +1,32 @@
 """Non-blocking optimizer loop.
 
-The optimizer never blocks on its result port. Each loop iteration does,
-in order: check for a management command; probe the result port and fold
-in a result if one arrived; finish if the budget is met; send the next
-candidate if none is outstanding; otherwise sleep briefly and try again.
-Because the only wait is a bounded sleep, the loop cannot deadlock no
-matter how slow or bursty the evaluator is, and a Stop command is
-observed within one sleep delay plus one step.
+The optimizer never blocks on its result port. Each step does, in order:
+probe the result port and fold in a result if one arrived; finish if the
+budget is met; send the next candidate if none is outstanding; otherwise
+sleep for ``probe_sleep`` seconds. Because the only wait is a bounded
+sleep, the loop cannot deadlock no matter how slow or bursty the
+evaluator is. Run/Pause/Stop are handled by the runtime between steps, as
+for every process, so a Stop is observed within one sleep plus one step.
 
-Completion is published two ways: a ``done`` flag readable from outside
-through a reference port (pollable without touching any channel), and a
-Done sentinel pushed to the candidate port so a peer evaluator knows to
-shut down.
+Completion is published once, from ``finish``, which the runtime calls on
+every way out of the run (budget met, Stop, failed peer, crash, step
+limit): a ``done`` flag readable from outside through a reference port
+(pollable without touching any channel), and a Done sentinel pushed to the
+candidate port so a peer evaluator knows to shut down.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Optional
 
-from ..errors import Disconnected
+from ..errors import ConfigError, Disconnected
 from ..runtime.process import Process, ProcessContext, RefPortHandle
-from ..runtime.timesource import SleepPolicy
-from ..runtime.tokens import CommandKind, Done, ParamVector, ResultTuple
+from ..runtime.tokens import Done, ParamVector, ResultTuple
 from ..bo.search import Observation
 
 RESULT_PORT = "result_in"
 CANDIDATE_PORT = "candidates"
-
-_PAUSE_POLL_S = 0.005
-
-
-class ActionKind(Enum):
-    STOPPED = "stopped"
-    PAUSED = "paused"
-    SLEPT = "slept"
-    FORWARDED = "forwarded"
-    SUGGESTED = "suggested"
-    FINISHED = "finished"
-
-
-@dataclass(frozen=True)
-class LoopAction:
-    kind: ActionKind
-    value: Any = None
 
 
 class AsyncOptimizer(Process):
@@ -56,19 +37,19 @@ class AsyncOptimizer(Process):
     k always contains the first k - 1 observations.
     """
 
-    handles_commands = True
-
     def __init__(
         self,
         name: str,
         search: Any,
         budget: int,
-        sleep_policy: SleepPolicy | None = None,
+        probe_sleep: float = 0.010,
     ) -> None:
         super().__init__(name)
+        if probe_sleep < 0:
+            raise ConfigError(f"probe sleep must be nonnegative, got {probe_sleep:g} s")
         self.search = search
         self.budget = budget
-        self.sleep_policy = sleep_policy or SleepPolicy()
+        self.probe_sleep = probe_sleep
         self.add_in_port(RESULT_PORT)
         self.add_out_port(CANDIDATE_PORT)
         self.expose_ref("done", False)
@@ -78,46 +59,34 @@ class AsyncOptimizer(Process):
         self.sleeps = 0
         self.failure: Optional[str] = None
         self._pending: Optional[tuple[float, ...]] = None
-        self._paused = False
-        self._empty_streak = 0
         self._probes_delta = 0
         self._sleeps_delta = 0
 
     # -- Process interface ---------------------------------------------------
 
     def step(self, ctx: ProcessContext) -> bool:
-        action = self.loop_step(ctx)
-        return action.kind in (ActionKind.STOPPED, ActionKind.FINISHED)
+        # loop_step stays a method of its own: perfbench/spans.py times it.
+        return self.loop_step(ctx)
+
+    def finish(self, ctx: ProcessContext) -> None:
+        """Raise the done flag and tell the evaluator to shut down."""
+        ctx.set_ref("done", True)
+        ctx.send_nowait(CANDIDATE_PORT, Done())
 
     # -- the loop --------------------------------------------------------------
 
-    def loop_step(self, ctx: ProcessContext) -> LoopAction:
-        cmd = ctx.check_command()
-        if cmd is CommandKind.STOP:
-            self._publish_done(ctx)
-            ctx.emit("optimizer_stopped", completed=self.completed)
-            return LoopAction(ActionKind.STOPPED)
-        if cmd is CommandKind.PAUSE:
-            self._paused = True
-        elif cmd is CommandKind.RUN:
-            self._paused = False
-        if self._paused:
-            ctx.sleep(_PAUSE_POLL_S)
-            return LoopAction(ActionKind.PAUSED)
-
+    def loop_step(self, ctx: ProcessContext) -> bool:
+        """One probe, fold, suggest or sleep. True once the optimizer is done."""
         try:
             probe = ctx.probe(RESULT_PORT)
             self.probe_attempts += 1
             self._probes_delta += 1
-            if probe.available:
-                obs = self._accept(ctx, ctx.recv(RESULT_PORT))
-                if obs is not None:
-                    return LoopAction(ActionKind.FORWARDED, obs)
+            if probe.available and self._accept(ctx, ctx.recv(RESULT_PORT)):
+                return False
 
             if self.completed >= self.budget:
-                self._publish_done(ctx)
                 ctx.emit("optimizer_finished", completed=self.completed)
-                return LoopAction(ActionKind.FINISHED)
+                return True
 
             if self.in_flight == 0:
                 x = self.search.suggest()
@@ -125,33 +94,25 @@ class AsyncOptimizer(Process):
                 ctx.send(CANDIDATE_PORT, params)
                 self._pending = params.values
                 self.in_flight = 1
-                return LoopAction(ActionKind.SUGGESTED, params)
+                return False
 
             if probe.empty and ctx.port_disconnected(RESULT_PORT):
-                self.failure = "result port disconnected with a request in flight"
-                self._publish_done(ctx)
-                ctx.emit("optimizer_failed", reason=self.failure)
-                return LoopAction(ActionKind.STOPPED)
+                return self._fail(ctx, "result port disconnected with a request in flight")
         except Disconnected as exc:
-            self.failure = f"peer disconnected: {exc}"
-            self._publish_done(ctx)
-            ctx.emit("optimizer_failed", reason=self.failure)
-            return LoopAction(ActionKind.STOPPED)
+            return self._fail(ctx, f"peer disconnected: {exc}")
 
-        delay = self.sleep_policy.delay(self._empty_streak)
-        self._empty_streak += 1
         self.sleeps += 1
         self._sleeps_delta += 1
-        ctx.sleep(delay)
-        return LoopAction(ActionKind.SLEPT, delay)
+        ctx.sleep(self.probe_sleep)
+        return False
 
     # -- helpers ----------------------------------------------------------------
 
-    def _accept(self, ctx: ProcessContext, token: Any) -> Optional[Observation]:
-        """Validate an incoming result. Returns None when it is dropped."""
+    def _accept(self, ctx: ProcessContext, token: Any) -> bool:
+        """Fold in an incoming result. False when it is dropped."""
         if not isinstance(token, ResultTuple):
             ctx.emit("result_dropped", reason=f"unexpected token {type(token).__name__}")
-            return None
+            return False
         if token.params != self._pending:
             ctx.emit(
                 "result_dropped",
@@ -159,13 +120,12 @@ class AsyncOptimizer(Process):
                 expected=list(self._pending or ()),
                 got=list(token.params),
             )
-            return None
+            return False
         obs = Observation(x=token.params, y=token.score)
         self.search.update(obs)
         self.completed += 1
         self.in_flight = 0
         self._pending = None
-        self._empty_streak = 0
         ctx.emit(
             "iteration",
             iter=self.completed,
@@ -177,14 +137,12 @@ class AsyncOptimizer(Process):
         )
         self._probes_delta = 0
         self._sleeps_delta = 0
-        return obs
+        return True
 
-    def _publish_done(self, ctx: ProcessContext) -> None:
-        ctx.set_ref("done", True)
-        try:
-            ctx.send_nowait(CANDIDATE_PORT, Done())
-        except Disconnected:  # pragma: no cover - nowait cannot raise, belt and braces
-            pass
+    def _fail(self, ctx: ProcessContext, reason: str) -> bool:
+        self.failure = reason
+        ctx.emit("optimizer_failed", reason=reason)
+        return True
 
 
 def await_done(

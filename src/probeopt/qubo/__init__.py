@@ -2,7 +2,7 @@
 
 from .anneal import AnnealParams, AnnealResult, solve, temperature_schedule
 from .conflict import ConflictGraph, build_conflict_graph, visible_pairs
-from .model import QuboMatrix, energies_exhaustive, energy, to_qubo
+from .model import QuboMatrix, energy, to_qubo
 from .problem import Geometry, QuboWeights, SatelliteProblem, generate_geometry
 from .schedule import Schedule, decode, violated_edges, violation_count
 
@@ -17,7 +17,6 @@ __all__ = [
     "Schedule",
     "build_conflict_graph",
     "decode",
-    "energies_exhaustive",
     "energy",
     "generate_geometry",
     "solve",

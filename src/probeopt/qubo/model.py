@@ -43,16 +43,3 @@ def energy(qubo: QuboMatrix, state: np.ndarray) -> float:
         raise DimensionMismatch(f"state has {x.shape[0]} bits, QUBO has {qubo.n}")
     return float(x @ qubo.q @ x)
 
-
-def energies_exhaustive(qubo: QuboMatrix) -> np.ndarray:
-    """Energy of every bitstring, indexed by integer encoding (bit i = var i).
-
-    Vectorized over all 2^n states; intended for small n in tests and
-    ground-truth checks.
-    """
-    n = qubo.n
-    if n > 24:
-        raise ValueError("exhaustive enumeration is limited to 24 variables")
-    codes = np.arange(1 << n, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    return np.einsum("si,ij,sj->s", bits, qubo.q, bits)

@@ -3,7 +3,7 @@
 from .channel import Channel, ChannelHooks, ProbeResult
 from .graph import Mode, ProcessGraph, RunHandle, RunLimits, RunReport
 from .process import Direction, PortSpec, Process, ProcessContext, RefPortHandle, RefVar
-from .timesource import SleepPolicy, TimeSource, VirtualClock
+from .timesource import TimeSource, VirtualClock
 from .tokens import Command, CommandKind, Done, ParamVector, ResultTuple, Scalar, Token
 from .trace import ListRecorder, Recorder
 
@@ -30,7 +30,6 @@ __all__ = [
     "RunLimits",
     "RunReport",
     "Scalar",
-    "SleepPolicy",
     "TimeSource",
     "Token",
     "VirtualClock",

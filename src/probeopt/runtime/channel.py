@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigError, DimensionMismatch, Disconnected, RunAborted
-from .tokens import ParamVector, ResultTuple, Token
+from ..errors import ConfigError, Disconnected, RunAborted
+from .tokens import Token
 
 # Safety net so an aborted run never leaves a thread parked forever on a
 # missed notify. Purely an upper bound on wakeup latency, not a poll rate.
@@ -61,14 +61,12 @@ class Channel:
         self,
         cid: str = "channel",
         capacity: int = 64,
-        dim: Optional[int] = None,
         hooks: Optional[ChannelHooks] = None,
     ) -> None:
         if capacity <= 0:
             raise ConfigError(f"channel capacity must be positive, got {capacity}")
         self.cid = cid
         self.capacity = capacity
-        self.dim = dim
         self._hooks = hooks or ChannelHooks()
         self._buf: deque[Token] = deque()
         self._cond = threading.Condition()
@@ -117,21 +115,8 @@ class Channel:
 
     # -- data plane -------------------------------------------------------
 
-    def _check_dim(self, token: Token) -> None:
-        if self.dim is None:
-            return
-        if isinstance(token, ParamVector) and len(token.values) != self.dim:
-            raise DimensionMismatch(
-                f"{self.cid}: expected {self.dim} values, got {len(token.values)}"
-            )
-        if isinstance(token, ResultTuple) and len(token.params) != self.dim:
-            raise DimensionMismatch(
-                f"{self.cid}: result echoes {len(token.params)} values, expected {self.dim}"
-            )
-
     def send(self, token: Token) -> None:
         """Enqueue a token, blocking while the buffer is full."""
-        self._check_dim(token)
         with self._cond:
             if self._consumer_closed:
                 raise Disconnected(f"{self.cid}: consumer closed")
@@ -154,7 +139,6 @@ class Channel:
 
     def send_nowait(self, token: Token) -> bool:
         """Best-effort enqueue: False when full, closed, or aborted."""
-        self._check_dim(token)
         with self._cond:
             if self._consumer_closed or self._aborted or len(self._buf) >= self.capacity:
                 return False

@@ -11,15 +11,18 @@ Two execution modes:
   On a ``VirtualClock`` (a paced run) one driver thread steps them all,
   giving each turn to the process that holds the clock's floor.
 
-All three drivers share one turn: command check, then one step unless
-the process is paused.
+All three drivers share one turn, which is the only place Run/Pause/Stop
+are handled, for every process: command check, then one step unless the
+process is paused. A process leaves the run through ``finish`` on every
+exit path: Stop, its step returning True, a crash, the step limit or an
+abort.
 
 A watchdog thread monitors a global progress counter (sends, recvs,
-probes, issued commands and completed steps all count). If nothing
-progresses for ``watchdog_timeout`` seconds the run is declared
-deadlocked: blocked channel operations are woken with an abort, every
-thread unwinds, and the report carries a diagnostic naming which process
-was parked on which port.
+probes, issued commands, completed steps and paused turns all count: a
+paused process is waiting, not stalled). If nothing progresses for
+``watchdog_timeout`` seconds the run is declared deadlocked: blocked
+channel operations are woken with an abort, every thread unwinds, and the
+report carries a diagnostic naming which process was parked on which port.
 """
 
 from __future__ import annotations
@@ -132,13 +135,7 @@ class ProcessGraph:
         )
         return proc
 
-    def connect(
-        self,
-        src: PortSpec,
-        dst: PortSpec,
-        capacity: int = 64,
-        dim: Optional[int] = None,
-    ) -> Channel:
+    def connect(self, src: PortSpec, dst: PortSpec, capacity: int = 64) -> Channel:
         for spec in (src, dst):
             if spec.owner.name not in self._procs or self._procs[spec.owner.name] is not spec.owner:
                 raise UnknownProcess(f"{spec.owner.name} is not part of this graph")
@@ -151,7 +148,7 @@ class ProcessGraph:
         if dst.connected:
             raise PortAlreadyConnected(f"{dst!r} already has a channel")
         cid = f"ch{len(self._channels)}:{src.owner.name}.{src.name}->{dst.owner.name}.{dst.name}"
-        channel = Channel(cid, capacity=capacity, dim=dim, hooks=self._hooks)
+        channel = Channel(cid, capacity=capacity, hooks=self._hooks)
         channel.set_labels(
             src.owner.name,
             f"{src.owner.name}.{src.name}",
@@ -363,17 +360,18 @@ class _Run:
 
         Returns True once the process is done: it took Stop, its step said
         so, a peer disconnected, or the step crashed (recorded in
-        ``errors``). RunAborted propagates: the whole run is unwinding.
+        ``errors``). A paused turn counts as progress. RunAborted
+        propagates: the whole run is unwinding.
         """
-        if not proc.handles_commands:
-            cmd = ctx.check_command()
-            if cmd is CommandKind.STOP:
-                return True
-            if cmd is CommandKind.PAUSE:
-                paused.add(proc.name)
-            elif cmd is CommandKind.RUN:
-                paused.discard(proc.name)
+        cmd = ctx.check_command()
+        if cmd is CommandKind.STOP:
+            return True
+        if cmd is CommandKind.PAUSE:
+            paused.add(proc.name)
+        elif cmd is CommandKind.RUN:
+            paused.discard(proc.name)
         if proc.name in paused:
+            self.hooks.progress()
             return False
         try:
             finished = proc.step(ctx)
@@ -474,10 +472,8 @@ class _Run:
                     if self._turn(proc, ctx, paused):
                         self._finish_proc(proc)
                     stepped += ctx.steps - before
-                if stepped == 0 and not self.aborted.is_set():
-                    # All live processes paused: the barrier itself is alive.
-                    self.hooks.progress()
-                    time.sleep(0.0005)
+                if stepped == 0:
+                    time.sleep(0.0005)  # every live process is paused
         except RunAborted:
             pass
         finally:

@@ -74,13 +74,11 @@ class RefPortHandle:
 class Process:
     """A unit of computation driven by repeated ``step`` calls.
 
-    ``step`` returns True when the process is finished. Processes that set
-    ``handles_commands`` poll their own management port (via
-    ``ctx.check_command``) as part of their loop; for all others the
-    runtime checks for Run/Pause/Stop between steps.
+    ``step`` returns True when the process is finished. The runtime checks
+    for Run/Pause/Stop between steps and calls ``finish`` once on every way
+    out of the run, so a process never handles commands itself.
     """
 
-    handles_commands: bool = False
     step_interval: float = 0.0
 
     def __init__(self, name: str) -> None:

@@ -1,4 +1,4 @@
-"""Sleep policies and pluggable time sources.
+"""Pluggable time sources.
 
 ``TimeSource`` is the normal mode: sleeps are wall-clock and every
 process of a free-running run has its own thread. ``VirtualClock``
@@ -12,36 +12,9 @@ sleeper's time, so in a paced run a sleep ends the process's turn.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError
-
-
-@dataclass(frozen=True)
-class SleepPolicy:
-    """Backoff schedule for re-probing an empty port.
-
-    ``delay(attempt)`` = min(base_delay * factor**attempt, max_delay).
-    The defaults give a constant 10 ms pause, which in practice beats
-    exponential backoff here: result latency is bounded, so the tail
-    penalty of a long backoff is paid on every single iteration.
-    """
-
-    base_delay: float = 0.010
-    factor: float = 1.0
-    max_delay: float = 0.010
-
-    def __post_init__(self) -> None:
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ConfigError("sleep delays must be nonnegative")
-        if self.factor < 1.0:
-            raise ConfigError("backoff factor must be >= 1")
-
-    def delay(self, attempt: int) -> float:
-        # Cap the exponent: beyond ~64 doublings every real schedule has
-        # saturated at max_delay, and float ** raises on huge exponents.
-        return min(self.base_delay * self.factor ** min(attempt, 64), self.max_delay)
 
 
 class TimeSource:

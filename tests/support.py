@@ -81,8 +81,8 @@ def all_state_energies(q):
     """Energy of every bitstring of an upper-triangular QUBO.
 
     Returns (bits, energies): bits is (2^n, n) with bit i of code s in
-    column i. Vectorized but structured differently from the package's
-    einsum path (matmul of the symmetrized matrix plus diagonal term).
+    column i. Vectorized: a matmul with the strict upper triangle gives
+    the pair terms, the diagonal the linear ones.
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
@@ -163,7 +163,7 @@ def conflict_free(edges, bits):
 # -- standalone process driving -----------------------------------------------
 
 
-def wire_standalone(proc: Process, capacity: int = 16, dim=None):
+def wire_standalone(proc: Process, capacity: int = 16):
     """Attach bare channels to a process's ports and build it a context.
 
     Returns (ctx, channels, recorder): channels maps port name -> Channel.
@@ -171,7 +171,7 @@ def wire_standalone(proc: Process, capacity: int = 16, dim=None):
     """
     channels = {}
     for name, spec in proc.ports.items():
-        ch = Channel(f"test:{name}", capacity=capacity, dim=dim)
+        ch = Channel(f"test:{name}", capacity=capacity)
         spec.channel = ch
         channels[name] = ch
     recorder = ListRecorder()

@@ -42,7 +42,6 @@ from probeopt.qubo.model import to_qubo
 from probeopt.qubo.problem import QuboWeights, SatelliteProblem, generate_geometry
 from probeopt.runtime.channel import Channel
 from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
-from probeopt.runtime.timesource import SleepPolicy
 from probeopt.runtime.tokens import CommandKind, Scalar
 from probeopt.errors import Disconnected
 from support import all_state_energies, dense_gp_predict, ei_reference
@@ -63,8 +62,7 @@ def _check(capsys, number, label):
 def _async_pair(seed, budget, latency, step_s, sleep_s, sweeps=40):
     """Optimizer/evaluator graph wired the same way the harness does it."""
     search = BayesSearch(search_space(), seed=seed)
-    policy = SleepPolicy(base_delay=sleep_s, factor=1.0, max_delay=sleep_s)
-    optimizer = AsyncOptimizer("optimizer", search, budget, sleep_policy=policy)
+    optimizer = AsyncOptimizer("optimizer", search, budget, probe_sleep=sleep_s)
     config = EvalConfig(
         problem=default_problem(),
         latency=LatencyModel(min_steps=latency[0], max_steps=latency[1]),
@@ -75,12 +73,8 @@ def _async_pair(seed, budget, latency, step_s, sleep_s, sweeps=40):
     graph = ProcessGraph()
     graph.add_process(optimizer)
     graph.add_process(evaluator)
-    graph.connect(
-        optimizer.out_port(CANDIDATE_PORT), evaluator.in_port("request_in"), capacity=8, dim=2
-    )
-    graph.connect(
-        evaluator.out_port("result_out"), optimizer.in_port(RESULT_PORT), capacity=8, dim=2
-    )
+    graph.connect(optimizer.out_port(CANDIDATE_PORT), evaluator.in_port("request_in"), capacity=8)
+    graph.connect(evaluator.out_port("result_out"), optimizer.in_port(RESULT_PORT), capacity=8)
     return graph, optimizer
 
 

@@ -8,9 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from probeopt.errors import ConfigError, DimensionMismatch, Disconnected
+from probeopt.errors import ConfigError, Disconnected
 from probeopt.runtime.channel import Channel
-from probeopt.runtime.tokens import ParamVector, ResultTuple, Scalar
+from probeopt.runtime.tokens import Scalar
 
 
 def test_capacity_must_be_positive():
@@ -131,16 +131,6 @@ def test_blocked_sender_wakes_on_consumer_close():
     ch.close_consumer()
     t.join(1.0)
     assert raised == [True]
-
-
-def test_dim_validation():
-    ch = Channel(capacity=4, dim=2)
-    ch.send(ParamVector((1.0, 2.0)))
-    with pytest.raises(DimensionMismatch):
-        ch.send(ParamVector((1.0, 2.0, 3.0)))
-    with pytest.raises(DimensionMismatch):
-        ch.send(ResultTuple(params=(1.0,), score=0.0))
-    ch.send(ResultTuple(params=(1.0, 2.0), score=0.5))
 
 
 def test_spsc_stress_exactly_once_fifo():

@@ -133,6 +133,13 @@ def test_non_finite_weights_in_problem_file_exit_two(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["async-probe", "bo-qubo"])
+def test_negative_sleep_exits_two_naming_the_probe_sleep(scenario, capsys):
+    rc = main(["run", "--scenario", scenario, "--sleep-ms", "-1"])
+    assert rc == 2
+    assert "probe sleep must be nonnegative" in capsys.readouterr().err
+
+
 def test_run_timeout_exits_three(monkeypatch, capsys):
     def overrun(cfg):
         raise TimeoutError("run did not finish within 150.0s")

@@ -167,6 +167,35 @@ def test_pause_freezes_steps_and_run_resumes():
     assert not report.deadlock_detected
 
 
+@pytest.mark.parametrize(
+    "mode, clock",
+    [(Mode.ASYNC, None), (Mode.ASYNC, VirtualClock), (Mode.SYNC_BARRIER, None)],
+    ids=["threaded", "paced", "barrier"],
+)
+def test_pause_longer_than_the_watchdog_is_not_a_deadlock(mode, clock):
+    """A paused process is waiting, not stalled, even when it is the only one."""
+    graph = ProcessGraph()
+    graph.add_process(_Counter("c"))
+    count = graph.ref_port("c", "count")
+    handle = graph.start(
+        mode,
+        RunLimits(max_steps=10_000_000, watchdog_timeout=0.3),
+        time_source=clock() if clock else None,
+    )
+    time.sleep(0.05)
+    graph.issue_command("c", CommandKind.PAUSE)
+    time.sleep(0.05)  # let the pause land
+    frozen = count.read()
+    time.sleep(0.6)  # twice the watchdog window
+    assert count.read() == frozen
+    assert not handle.aborted
+    graph.issue_command("c", CommandKind.STOP)  # the command queue is still open
+    report = handle.wait(5.0)
+    assert handle.finished
+    assert not report.deadlock_detected and not report.errors
+    assert graph.is_terminated("c")
+
+
 def test_stop_is_prompt_and_terminal():
     graph = ProcessGraph()
     graph.add_process(_Counter("c"))

@@ -1,4 +1,4 @@
-"""Optimizer loop: iteration order, echo checking, done handshake."""
+"""Optimizer loop: iteration order, echo checking, run control, done handshake."""
 
 from __future__ import annotations
 
@@ -7,16 +7,17 @@ import time
 
 import pytest
 
+from probeopt.errors import ConfigError
 from probeopt.optimizer.loop import (
-    ActionKind,
     AsyncOptimizer,
     CANDIDATE_PORT,
     RESULT_PORT,
     await_done,
 )
-from probeopt.runtime.process import RefPortHandle, RefVar
-from probeopt.runtime.timesource import SleepPolicy
-from probeopt.runtime.tokens import Command, CommandKind, Done, ParamVector, ResultTuple, Scalar
+from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
+from probeopt.runtime.process import Process, RefPortHandle, RefVar
+from probeopt.runtime.timesource import VirtualClock
+from probeopt.runtime.tokens import CommandKind, Done, ParamVector, ResultTuple, Scalar
 from support import wire_standalone
 
 
@@ -41,31 +42,31 @@ class _ScriptedSearch:
         return max((o.y for o in self.updates), default=None)
 
 
+_POINTS = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8)]
+
+
 def _make_optimizer(budget=3, sleep=0.0005):
-    search = _ScriptedSearch([(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8)])
-    opt = AsyncOptimizer(
-        "opt", search, budget, sleep_policy=SleepPolicy(sleep, 1.0, sleep)
-    )
+    search = _ScriptedSearch(_POINTS)
+    opt = AsyncOptimizer("opt", search, budget, probe_sleep=sleep)
     ctx, channels, recorder, mgmt = wire_standalone(opt)
     return opt, search, ctx, channels, recorder, mgmt
 
 
 def test_first_iteration_suggests():
     opt, search, ctx, ch, _, _ = _make_optimizer()
-    action = opt.loop_step(ctx)
-    assert action.kind is ActionKind.SUGGESTED
+    assert opt.loop_step(ctx) is False
     assert ch[CANDIDATE_PORT].probe().count == 1
     token = ch[CANDIDATE_PORT].recv()
     assert token == ParamVector((0.1, 0.2))
     assert opt.in_flight == 1
+    assert opt.sleeps == 0  # a suggesting step does not sleep
 
 
 def test_sleeps_while_request_outstanding():
     opt, _, ctx, _, _, _ = _make_optimizer()
     opt.loop_step(ctx)  # suggest
-    a1 = opt.loop_step(ctx)
-    a2 = opt.loop_step(ctx)
-    assert a1.kind is a2.kind is ActionKind.SLEPT
+    assert opt.loop_step(ctx) is False
+    assert opt.loop_step(ctx) is False
     assert opt.sleeps == 2
     assert opt.probe_attempts >= 2  # probed before every sleep
 
@@ -74,11 +75,11 @@ def test_forwards_result_and_updates_search():
     opt, search, ctx, ch, _, _ = _make_optimizer()
     opt.loop_step(ctx)
     ch[RESULT_PORT].send(ResultTuple(params=(0.1, 0.2), score=7.0))
-    action = opt.loop_step(ctx)
-    assert action.kind is ActionKind.FORWARDED
+    assert opt.loop_step(ctx) is False
     assert len(search.updates) == 1
     assert search.updates[0].x == (0.1, 0.2) and search.updates[0].y == 7.0
     assert opt.in_flight == 0 and opt.completed == 1
+    assert opt.sleeps == 0  # a step that folds in a result does not sleep
 
 
 def test_at_most_one_recv_per_iteration():
@@ -87,8 +88,7 @@ def test_at_most_one_recv_per_iteration():
     # Queue several results; only the head may be consumed per iteration.
     ch[RESULT_PORT].send(ResultTuple(params=(0.1, 0.2), score=1.0))
     ch[RESULT_PORT].send(ResultTuple(params=(0.3, 0.4), score=2.0))
-    action = opt.loop_step(ctx)
-    assert action.kind is ActionKind.FORWARDED
+    opt.loop_step(ctx)
     assert len(search.updates) == 1
     assert ch[RESULT_PORT].probe().count == 1  # second result still queued
 
@@ -97,48 +97,26 @@ def test_finishes_after_budget_and_publishes_done():
     opt, search, ctx, ch, _, _ = _make_optimizer(budget=2)
     done = RefPortHandle(opt.refs["done"], lambda: False)
     for k in range(2):
-        assert opt.loop_step(ctx).kind is ActionKind.SUGGESTED
+        assert opt.loop_step(ctx) is False  # suggests
         sent = ch[CANDIDATE_PORT].recv()
         ch[RESULT_PORT].send(ResultTuple(params=sent.values, score=float(k)))
-        assert opt.loop_step(ctx).kind is ActionKind.FORWARDED
-        assert not done.read()  # not done until the budget check runs
-    action = opt.loop_step(ctx)
-    assert action.kind is ActionKind.FINISHED
-    assert done.read() is True
+        assert opt.loop_step(ctx) is False  # folds the result in
+        assert opt.completed == k + 1
+    assert opt.loop_step(ctx) is True
+    assert opt.sleeps == 0
     assert opt.completed == 2 and opt.in_flight == 0  # conservation
+    assert not done.read()  # published by finish, which the runtime calls next
+    opt.finish(ctx)
+    assert done.read() is True
     assert isinstance(ch[CANDIDATE_PORT].recv(), Done)  # shutdown sentinel
-
-
-def test_stop_command_halts_loop_and_sets_done():
-    opt, _, ctx, ch, _, mgmt = _make_optimizer()
-    opt.loop_step(ctx)
-    mgmt.send(Command(CommandKind.STOP))
-    action = opt.loop_step(ctx)
-    assert action.kind is ActionKind.STOPPED
-    assert opt.refs["done"].read() is True
-    ch[CANDIDATE_PORT].recv()  # the suggestion
-    assert isinstance(ch[CANDIDATE_PORT].recv(), Done)
-
-
-def test_pause_skips_probing_until_run():
-    opt, _, ctx, _, _, mgmt = _make_optimizer()
-    opt.loop_step(ctx)
-    before = opt.probe_attempts
-    mgmt.send(Command(CommandKind.PAUSE))
-    assert opt.loop_step(ctx).kind is ActionKind.PAUSED
-    assert opt.loop_step(ctx).kind is ActionKind.PAUSED
-    assert opt.probe_attempts == before  # paused iterations do not probe
-    mgmt.send(Command(CommandKind.RUN))
-    assert opt.loop_step(ctx).kind is ActionKind.SLEPT
-    assert opt.probe_attempts == before + 1
 
 
 def test_echo_mismatch_dropped_with_diagnostic():
     opt, search, ctx, ch, recorder, _ = _make_optimizer()
     opt.loop_step(ctx)
     ch[RESULT_PORT].send(ResultTuple(params=(9.9, 9.9), score=3.0))
-    action = opt.loop_step(ctx)
-    assert action.kind is ActionKind.SLEPT  # dropped, request still in flight
+    assert opt.loop_step(ctx) is False
+    assert opt.sleeps == 1  # dropped, request still in flight, so it slept
     assert search.updates == []
     assert opt.completed == 0 and opt.in_flight == 1
     drops = recorder.events("result_dropped")
@@ -149,7 +127,8 @@ def test_non_result_token_dropped():
     opt, search, ctx, ch, recorder, _ = _make_optimizer()
     opt.loop_step(ctx)
     ch[RESULT_PORT].send(Scalar(1.0))
-    assert opt.loop_step(ctx).kind is ActionKind.SLEPT
+    assert opt.loop_step(ctx) is False
+    assert opt.sleeps == 1
     assert search.updates == []
     assert recorder.events("result_dropped")
 
@@ -158,11 +137,112 @@ def test_disconnect_with_request_in_flight_fails_loudly():
     opt, _, ctx, ch, recorder, _ = _make_optimizer()
     opt.loop_step(ctx)
     ch[RESULT_PORT].close_producer()
-    action = opt.loop_step(ctx)
-    assert action.kind is ActionKind.STOPPED
+    assert opt.loop_step(ctx) is True
     assert opt.failure is not None
-    assert opt.refs["done"].read() is True
     assert recorder.events("optimizer_failed")
+    opt.finish(ctx)
+    assert opt.refs["done"].read() is True
+
+
+def test_negative_probe_sleep_rejected():
+    with pytest.raises(ConfigError, match="probe sleep"):
+        AsyncOptimizer("opt", _ScriptedSearch(_POINTS), 3, probe_sleep=-0.001)
+
+
+# -- under the runtime: commands, crashes and done ----------------------------
+
+
+class _Echo(Process):
+    """Evaluator stand-in: answers each request in the step that takes it."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.step_interval = 0.001
+        self.add_in_port("request_in")
+        self.add_out_port("result_out")
+        self.got_done = False
+
+    def step(self, ctx):
+        if ctx.probe("request_in").empty:
+            return ctx.port_disconnected("request_in")
+        token = ctx.recv("request_in")
+        if isinstance(token, Done):
+            self.got_done = True
+            return True
+        # nowait: a Stop may close the optimizer's result port at any time,
+        # and the Done sentinel it sent first must still be read.
+        ctx.send_nowait("result_out", ResultTuple(params=token.values, score=sum(token.values)))
+        return False
+
+
+def _graph(search, budget):
+    optimizer = AsyncOptimizer("optimizer", search, budget, probe_sleep=0.001)
+    evaluator = _Echo("evaluator")
+    graph = ProcessGraph()
+    graph.add_process(optimizer)
+    graph.add_process(evaluator)
+    graph.connect(optimizer.out_port(CANDIDATE_PORT), evaluator.in_port("request_in"), capacity=8)
+    graph.connect(evaluator.out_port("result_out"), optimizer.in_port(RESULT_PORT), capacity=8)
+    return graph, optimizer, evaluator
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return predicate()
+
+
+def test_pause_skips_probing_until_run():
+    graph, opt, _ = _graph(_ScriptedSearch(_POINTS), budget=1_000_000)
+    handle = graph.start(Mode.ASYNC, RunLimits(max_steps=10_000_000, watchdog_timeout=0.3))
+    assert _wait_until(lambda: opt.completed >= 2), "run never warmed up"
+    graph.issue_command("optimizer", CommandKind.PAUSE)
+    time.sleep(0.05)  # let the pause land
+    frozen = opt.probe_attempts
+    time.sleep(0.6)  # twice the watchdog window
+    assert opt.probe_attempts == frozen  # paused turns do not probe
+    assert not handle.aborted
+    graph.issue_command("optimizer", CommandKind.RUN)
+    assert _wait_until(lambda: opt.probe_attempts > frozen)
+    graph.issue_command("optimizer", CommandKind.STOP)
+    report = handle.wait(5.0)
+    assert not report.deadlock_detected and not report.errors
+
+
+def test_stop_command_halts_loop_and_sets_done():
+    graph, opt, evaluator = _graph(_ScriptedSearch(_POINTS), budget=1_000_000)
+    done = graph.ref_port("optimizer", "done")
+    handle = graph.start(Mode.ASYNC, RunLimits(max_steps=10_000_000, watchdog_timeout=2.0))
+    assert _wait_until(lambda: opt.completed >= 2), "run never warmed up"
+    assert not done.read()
+    graph.issue_command("optimizer", CommandKind.STOP)
+    report = handle.wait(5.0)
+    assert done.read() is True
+    assert evaluator.got_done  # the shutdown sentinel reached the evaluator
+    assert graph.is_terminated("evaluator")
+    assert not report.deadlock_detected and not report.errors
+
+
+class _CrashingSearch(_ScriptedSearch):
+    def suggest(self):
+        raise RuntimeError("no candidates left")
+
+
+@pytest.mark.parametrize("paced", [False, True], ids=["threaded", "paced"])
+def test_crashing_search_still_publishes_done(paced):
+    graph, _, evaluator = _graph(_CrashingSearch(_POINTS), budget=5)
+    done = graph.ref_port("optimizer", "done")
+    report = graph.start(
+        Mode.ASYNC,
+        RunLimits(max_steps=100_000, watchdog_timeout=2.0),
+        time_source=VirtualClock() if paced else None,
+    ).wait(10.0)
+    assert "RuntimeError: no candidates left" in report.errors["optimizer"]
+    assert done.read() is True
+    assert evaluator.got_done
+    assert graph.is_terminated("evaluator")
+    assert not report.deadlock_detected
 
 
 def test_await_done_sees_flag_within_one_poll():

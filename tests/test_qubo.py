@@ -8,7 +8,7 @@ import pytest
 from probeopt.errors import DimensionMismatch, EmptyGraph
 from probeopt.qubo.anneal import AnnealParams, solve
 from probeopt.qubo.conflict import ConflictGraph
-from probeopt.qubo.model import QuboMatrix, energies_exhaustive, energy, to_qubo
+from probeopt.qubo.model import QuboMatrix, energy, to_qubo
 from probeopt.qubo.problem import QuboWeights
 from probeopt.qubo.schedule import decode, violation_count
 from support import all_state_energies, conflict_free, naive_energy
@@ -56,14 +56,6 @@ def test_to_qubo_structure():
 def test_to_qubo_rejects_empty_graph():
     with pytest.raises(EmptyGraph):
         to_qubo(ConflictGraph(nodes=(), edges=()), QuboWeights())
-
-
-def test_exhaustive_energies_match_oracle():
-    rng = np.random.default_rng(9)
-    q = np.triu(rng.normal(size=(10, 10)))
-    qm = QuboMatrix(q=q)
-    _, oracle = all_state_energies(q)
-    assert np.allclose(energies_exhaustive(qm), oracle, atol=1e-9)
 
 
 def test_minimizers_are_max_independent_sets():
