@@ -112,8 +112,8 @@ class BlockingOptimizer(Process):
     """Lockstep counterpart of AsyncOptimizer: recv instead of probe.
 
     Alternates send and receive steps. The receive blocks, which is
-    harmless when the evaluator answers within the same barrier round and
-    fatal when it does not. It has no ``done`` flag: the harness reads its
+    harmless when the evaluator answers before the optimizer's receive
+    step and fatal when it does not. It has no ``done`` flag: the harness reads its
     ``completed`` count, and the evaluator stops once this process has
     finished and its candidate port has closed.
     """

@@ -4,7 +4,7 @@ from .anneal import AnnealParams, AnnealResult, solve, temperature_schedule
 from .conflict import ConflictGraph, build_conflict_graph, visible_pairs
 from .model import QuboMatrix, energy, to_qubo
 from .problem import Geometry, QuboWeights, SatelliteProblem, generate_geometry
-from .schedule import Schedule, decode, violated_edges, violation_count
+from .schedule import Schedule, decode, violated_edges
 
 __all__ = [
     "AnnealParams",
@@ -23,6 +23,5 @@ __all__ = [
     "temperature_schedule",
     "to_qubo",
     "violated_edges",
-    "violation_count",
     "visible_pairs",
 ]

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .problem import Geometry, SatelliteProblem
 
 
@@ -25,12 +23,6 @@ class ConflictGraph:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.edges:
-            adj[i, j] = adj[j, i] = True
-        return adj
 
 
 def visible_pairs(geometry: Geometry, problem: SatelliteProblem) -> list[tuple[int, int]]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -15,21 +14,9 @@ class Schedule:
     assignments: tuple[tuple[int, int], ...]  # conflict-free (satellite, request)
     score: int  # distinct requests served
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "assignments": [list(a) for a in self.assignments],
-            "score": self.score,
-        }
-
 
 def violated_edges(graph: ConflictGraph, selected: set[int]) -> list[tuple[int, int]]:
     return [(i, j) for i, j in graph.edges if i in selected and j in selected]
-
-
-def violation_count(graph: ConflictGraph, state: np.ndarray) -> int:
-    """Conflict edges with both endpoints selected, before any repair."""
-    selected = {i for i, bit in enumerate(np.asarray(state).ravel()) if bit}
-    return len(violated_edges(graph, selected))
 
 
 def decode(state: np.ndarray, graph: ConflictGraph) -> Schedule:

@@ -4,13 +4,12 @@ from .channel import Channel, ChannelHooks, ProbeResult
 from .graph import Mode, ProcessGraph, RunHandle, RunLimits, RunReport
 from .process import Direction, PortSpec, Process, ProcessContext, RefPortHandle, RefVar
 from .timesource import TimeSource, VirtualClock
-from .tokens import Command, CommandKind, Done, ParamVector, ResultTuple, Scalar, Token
+from .tokens import CommandKind, Done, ParamVector, ResultTuple, Token
 from .trace import ListRecorder, Recorder
 
 __all__ = [
     "Channel",
     "ChannelHooks",
-    "Command",
     "CommandKind",
     "Direction",
     "Done",
@@ -29,7 +28,6 @@ __all__ = [
     "RunHandle",
     "RunLimits",
     "RunReport",
-    "Scalar",
     "TimeSource",
     "Token",
     "VirtualClock",

@@ -1,21 +1,23 @@
 """Process graph construction and execution.
 
-Two execution modes:
+Two drivers:
 
-* ``SYNC_BARRIER``: a single driver steps every process once per round in
-  registration order. A process that blocks inside its step stalls the
-  whole round, which is exactly how lockstep schedules deadlock when one
-  side waits on data the other has not produced yet.
-* ``ASYNC``: free-running. Processes coordinate through channels, probes
-  and sleeps only. On wall-clock time each process has its own thread.
-  On a ``VirtualClock`` (a paced run) one driver thread steps them all,
-  giving each turn to the process that holds the clock's floor.
+* On wall-clock time (``ASYNC`` with a ``TimeSource``) every process has
+  its own thread and runs free.
+* On a ``VirtualClock`` one driver thread steps every process, giving
+  each turn to the process that holds the clock's floor. A paced
+  ``ASYNC`` run is free-running on virtual time. ``SYNC_BARRIER`` is the
+  same driver with every turn resting exactly one tick, so a barrier
+  round is one tick of the clock: every live process steps once, in name
+  order (the clock's tie-break). A process that blocks inside its step
+  stalls the whole round, which is exactly how lockstep schedules
+  deadlock when one side waits on data the other has not produced yet.
 
-All three drivers share one turn, which is the only place Run/Pause/Stop
-are handled, for every process: command check, then one step unless the
-process is paused. A process leaves the run through ``finish`` on every
-exit path: Stop, its step returning True, a crash, the step limit or an
-abort.
+Both drivers share one turn, which is the only place Run/Pause/Stop are
+handled, for every process: command check, then one step unless the
+process is paused. Commands travel in a plain queue per process. A
+process leaves the run through ``finish`` on every exit path: Stop, its
+step returning True, a crash, the step limit or an abort.
 
 A watchdog thread monitors a global progress counter (sends, recvs,
 probes, issued commands, completed steps and paused turns all count: a
@@ -30,6 +32,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -46,13 +49,16 @@ from ..errors import (
 from .channel import Channel, ChannelHooks
 from .process import Direction, PortSpec, Process, ProcessContext, RefPortHandle
 from .timesource import TimeSource, VirtualClock
-from .tokens import Command, CommandKind
+from .tokens import CommandKind
 from .trace import Recorder
 
 log = logging.getLogger(__name__)
 
 # Sleep between turns of a paused process, unless its step interval is longer.
 _PAUSE_POLL_S = 0.005
+# Wall time the clock driver sleeps after a pass over the live processes
+# that stepped none of them (every one is paused).
+_IDLE_PASS_S = 0.0005
 
 
 class Mode(Enum):
@@ -116,7 +122,7 @@ class ProcessGraph:
         self._procs: dict[str, Process] = {}
         self._order: list[Process] = []
         self._channels: list[Channel] = []
-        self._mgmt: dict[str, Channel] = {}
+        self._commands: dict[str, deque[CommandKind]] = {}
         self._hooks = _GraphHooks()
         self._last_command: dict[str, CommandKind] = {}
         self._terminated: set[str] = set()
@@ -130,9 +136,7 @@ class ProcessGraph:
             raise ConfigError(f"duplicate process name {proc.name!r}")
         self._procs[proc.name] = proc
         self._order.append(proc)
-        self._mgmt[proc.name] = Channel(
-            f"mgmt:{proc.name}", capacity=16, hooks=self._hooks
-        )
+        self._commands[proc.name] = deque()
         return proc
 
     def connect(self, src: PortSpec, dst: PortSpec, capacity: int = 64) -> Channel:
@@ -180,8 +184,8 @@ class ProcessGraph:
             if self._last_command.get(proc_name) is CommandKind.STOP:
                 raise CommandAfterStop(f"{proc_name} already received Stop")
             self._last_command[proc_name] = kind
-        if not self._mgmt[proc_name].send_nowait(Command(kind)):
-            raise ConfigError(f"command queue for {proc_name} is full or closed")
+            self._commands[proc_name].append(kind)
+        self._hooks.progress()
 
     def is_terminated(self, proc_name: str) -> bool:
         with self._state_lock:
@@ -200,6 +204,11 @@ class ProcessGraph:
             raise ConfigError("graph has no processes")
         if self._started:
             raise ConfigError("graph already started")
+        if mode is Mode.SYNC_BARRIER:
+            if time_source is None:
+                time_source = VirtualClock()
+            elif not isinstance(time_source, VirtualClock):
+                raise ConfigError("a barrier run needs a VirtualClock time source")
         self._started = True
         ts = time_source or TimeSource()
         rec = recorder or Recorder()
@@ -220,8 +229,6 @@ class ProcessGraph:
 
     def _mark_terminated(self, proc: Process) -> None:
         with self._state_lock:
-            if proc.name in self._terminated:
-                return
             self._terminated.add(proc.name)
         for spec in proc.ports.values():
             if spec.channel is None:
@@ -253,12 +260,10 @@ class _Run:
         self.finished = threading.Event()
         self._live_lock = threading.Lock()
         self._live = 0
-        self._finished_procs: set[str] = set()
         self.deadlock = False
         self.diagnostic: Optional[str] = None
         self.errors: dict[str, str] = {}
         self.ctxs: dict[str, ProcessContext] = {}
-        self.threads: list[threading.Thread] = []
         self.t_start = 0.0
         self.wall_time = 0.0
 
@@ -271,27 +276,25 @@ class _Run:
                 proc,
                 self.ts,
                 self.recorder,
-                graph._mgmt[proc.name],
+                graph._commands[proc.name],
                 self.hooks.progress,
             )
         self.t_start = time.monotonic()
-        if self.mode is Mode.SYNC_BARRIER:
-            mains = [("sync-driver", self._sync_main, ())]
-        elif isinstance(self.ts, VirtualClock):
+        if isinstance(self.ts, VirtualClock):
             # Register every participant before the driver asks for the floor.
             for proc in graph._order:
                 self.ts.register(proc.name)
             mains = [("paced-driver", self._paced_main, ())]
         else:
             mains = [(f"proc:{p.name}", self._async_main, (p,)) for p in graph._order]
-        self.threads = [
+        threads = [
             threading.Thread(target=target, args=args, name=name, daemon=True)
             for name, target, args in mains
         ]
-        self._live = len(self.threads)
+        self._live = len(threads)
         self.watchdog = threading.Thread(target=self._watchdog_main, name="watchdog", daemon=True)
         self.watchdog.start()
-        for t in self.threads:
+        for t in threads:
             t.start()
 
     def _main_exited(self) -> None:
@@ -314,8 +317,6 @@ class _Run:
         self.diagnostic = diagnostic
         self.aborted.set()
         for channel in self.graph._channels:
-            channel.abort()
-        for channel in self.graph._mgmt.values():
             channel.abort()
 
     def _watchdog_main(self) -> None:
@@ -387,17 +388,17 @@ class _Run:
         self.hooks.progress()
         return finished
 
-    @staticmethod
-    def _rest(proc: Process, paused: set[str]) -> float:
-        """How long a free-running process sleeps after a turn."""
+    def _rest(self, proc: Process, paused: set[str]) -> float:
+        """How long a process sleeps after a turn: one tick in a barrier run."""
+        if self.mode is Mode.SYNC_BARRIER:
+            return 1.0
         if proc.name in paused:
             return max(proc.step_interval, _PAUSE_POLL_S)
         return proc.step_interval
 
     def _finish_proc(self, proc: Process) -> None:
-        if proc.name in self._finished_procs:
+        if self.graph.is_terminated(proc.name):
             return
-        self._finished_procs.add(proc.name)
         try:
             proc.finish(self.ctxs[proc.name])
         except Exception as exc:  # noqa: BLE001
@@ -425,7 +426,7 @@ class _Run:
             self._main_exited()
 
     def _paced_main(self) -> None:
-        """Paced free-running: every turn goes to the clock's floor holder.
+        """Paced or barrier: every turn goes to the clock's floor holder.
 
         This is the interleaving the clock defines: a process acts only
         while its (time, name) is the smallest, and its sleeps move it on.
@@ -433,10 +434,13 @@ class _Run:
         clock = self.ts
         assert isinstance(clock, VirtualClock)
         paused: set[str] = set()
+        live = {proc.name for proc in self.graph._order}
+        idle: set[str] = set()  # processes that took a paused turn since the last step
         try:
             for proc in self.graph._order:
                 if not self._setup(proc):
                     clock.unregister(proc.name)
+                    live.discard(proc.name)
             while not self.aborted.is_set():
                 name = clock.floor()
                 if name is None:
@@ -446,8 +450,16 @@ class _Run:
                 if ctx.steps >= self.limits.max_steps or self._turn(proc, ctx, paused):
                     self._finish_proc(proc)
                     clock.unregister(name)
-                else:
-                    ctx.sleep(self._rest(proc, paused))
+                    live.discard(name)
+                    continue
+                ctx.sleep(self._rest(proc, paused))
+                if name not in paused:
+                    idle.clear()
+                    continue
+                idle.add(name)
+                if idle >= live:  # a whole pass stepped nothing
+                    time.sleep(_IDLE_PASS_S)
+                    idle.clear()
         except RunAborted:
             pass
         finally:
@@ -455,52 +467,19 @@ class _Run:
                 self._finish_proc(proc)
             self._main_exited()
 
-    def _sync_main(self) -> None:
-        order = [proc for proc in self.graph._order if self._setup(proc)]
-        paused: set[str] = set()
-        try:
-            for _round in range(1, self.limits.max_steps + 1):
-                live = [p for p in order if p.name not in self._finished_procs]
-                if not live or self.aborted.is_set():
-                    break
-                stepped = 0
-                for proc in live:
-                    if self.aborted.is_set():
-                        break
-                    ctx = self.ctxs[proc.name]
-                    before = ctx.steps
-                    if self._turn(proc, ctx, paused):
-                        self._finish_proc(proc)
-                    stepped += ctx.steps - before
-                if stepped == 0:
-                    time.sleep(0.0005)  # every live process is paused
-        except RunAborted:
-            pass
-        finally:
-            for proc in order:
-                self._finish_proc(proc)
-            self._main_exited()
-
     # -- completion -----------------------------------------------------------
 
     def wait(self, timeout: Optional[float] = None) -> RunReport:
-        if self.finished.is_set():
-            self.watchdog.join(1.0)
-            return self.report()
         deadline = None if timeout is None else time.monotonic() + timeout
-        for t in self.threads:
-            while t.is_alive():
-                t.join(0.1)
-                if not t.is_alive():
-                    break
-                if self.aborted.is_set():
-                    # Grace period for unwinding channel waits. A thread
-                    # stalled outside channel ops cannot be recovered; it is
-                    # a daemon, so the report is built without it.
-                    t.join(2.0)
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(f"run did not finish within {timeout}s")
+        while not self.finished.wait(0.1):
+            if self.aborted.is_set():
+                # Grace period for unwinding channel waits. A thread stalled
+                # outside channel ops cannot be recovered; it is a daemon,
+                # so the report is built without it.
+                self.finished.wait(2.0)
+                break
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"run did not finish within {timeout}s")
         if not self.finished.is_set():
             self.wall_time = time.monotonic() - self.t_start
             self.finished.set()

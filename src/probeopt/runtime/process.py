@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import threading
+from collections import deque
 from enum import Enum
 from typing import Any, Callable, Optional
 
 from ..errors import ConfigError, DirectionMismatch
 from .channel import Channel, ProbeResult
 from .timesource import TimeSource
-from .tokens import Command, CommandKind, Token
+from .tokens import CommandKind, Token
 from .trace import Recorder
 
 
@@ -145,13 +146,13 @@ class ProcessContext:
         proc: Process,
         time_source: TimeSource,
         recorder: Recorder,
-        mgmt: Channel,
+        commands: deque[CommandKind],
         probe_progress: Callable[[], None],
     ) -> None:
         self._proc = proc
         self._time = time_source
         self._recorder = recorder
-        self._mgmt = mgmt
+        self._commands = commands
         self._probe_progress = probe_progress
         self.steps = 0
         self.probes = 0
@@ -194,13 +195,16 @@ class ProcessContext:
         self._time.sleep(self._proc.name, duration)
 
     def check_command(self) -> Optional[CommandKind]:
-        """Pop the oldest pending management command, if any. Never blocks."""
-        if self._mgmt.probe().empty:
+        """Pop the oldest Run/Pause/Stop from this process's command queue.
+
+        The queue is a plain deque that ``graph.issue_command`` appends to;
+        the runtime pops it once per turn. Never blocks; None when empty.
+        """
+        if not self._commands:  # only this process's driver pops: no race
             return None
-        token = self._mgmt.recv()
-        assert isinstance(token, Command)
-        self._recorder.emit("command", proc=self._proc.name, command=token.kind.value)
-        return token.kind
+        kind = self._commands.popleft()
+        self._recorder.emit("command", proc=self._proc.name, command=kind.value)
+        return kind
 
     def set_ref(self, name: str, value: Any) -> None:
         self._proc.refs[name].write(value)

@@ -1,12 +1,14 @@
-"""Pluggable time sources.
+"""Pluggable time sources; each picks one of the graph's two drivers.
 
-``TimeSource`` is the normal mode: sleeps are wall-clock and every
-process of a free-running run has its own thread. ``VirtualClock``
-replaces wall-clock sleeps with per-process logical times so a
-free-running run becomes reproducible: the graph then runs every process
-on one driver thread and gives each turn to the process that holds the
-floor, the smallest (time, name) pair. A sleep only advances the
-sleeper's time, so in a paced run a sleep ends the process's turn.
+``TimeSource`` is wall-clock time: sleeps really sleep and every process
+of a free-running run has its own thread. ``VirtualClock`` replaces
+wall-clock sleeps with per-process logical times: the graph then runs
+every process on one driver thread and gives each turn to the process
+that holds the floor, the smallest (time, name) pair. A sleep only
+advances the sleeper's time, so on this clock a sleep ends the process's
+turn. A paced ``ASYNC`` run is free-running on this clock and therefore
+reproducible. A ``SYNC_BARRIER`` run always uses it, and every turn
+rests exactly one tick, so a barrier round is one tick in name order.
 """
 
 from __future__ import annotations

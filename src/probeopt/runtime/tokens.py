@@ -19,18 +19,10 @@ class CommandKind(Enum):
 
 
 @dataclass(frozen=True)
-class Command:
-    kind: CommandKind
-
-
-@dataclass(frozen=True)
 class ParamVector:
     """A point in the search space, sent optimizer -> evaluator."""
 
     values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -46,13 +38,8 @@ class ResultTuple:
 
 
 @dataclass(frozen=True)
-class Scalar:
-    value: float
-
-
-@dataclass(frozen=True)
 class Done:
     """Sentinel announcing the producer will send nothing further."""
 
 
-Token = Union[ParamVector, ResultTuple, Command, Scalar, Done]
+Token = Union[ParamVector, ResultTuple, Done]

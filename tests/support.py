@@ -8,6 +8,8 @@ than one implementation with itself.
 from __future__ import annotations
 
 import math
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -160,14 +162,28 @@ def conflict_free(edges, bits):
     return all(not (bits[i] and bits[j]) for i, j in edges)
 
 
+def violation_count(graph, state):
+    """Conflict edges with both endpoints selected, before any repair."""
+    bits = np.asarray(state).ravel()
+    return sum(1 for i, j in graph.edges if bits[i] and bits[j])
+
+
 # -- standalone process driving -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Scalar:
+    """A token no process in the package handles: plain test payload."""
+
+    value: float
 
 
 def wire_standalone(proc: Process, capacity: int = 16):
     """Attach bare channels to a process's ports and build it a context.
 
-    Returns (ctx, channels, recorder): channels maps port name -> Channel.
-    The far end of each channel is the test itself.
+    Returns (ctx, channels, recorder, commands): channels maps port name ->
+    Channel, commands is the context's command queue. The far end of each
+    channel is the test itself.
     """
     channels = {}
     for name, spec in proc.ports.items():
@@ -175,6 +191,6 @@ def wire_standalone(proc: Process, capacity: int = 16):
         spec.channel = ch
         channels[name] = ch
     recorder = ListRecorder()
-    mgmt = Channel("test:mgmt", capacity=16)
-    ctx = ProcessContext(proc, TimeSource(), recorder, mgmt, lambda: None)
-    return ctx, channels, recorder, mgmt
+    commands = deque()
+    ctx = ProcessContext(proc, TimeSource(), recorder, commands, lambda: None)
+    return ctx, channels, recorder, commands

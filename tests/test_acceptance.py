@@ -1,6 +1,6 @@
 """Acceptance gate: eight behavioral checks, one printed line each.
 
-Together these pin the project contract end to end: the barrier driver
+Together these pin the project contract end to end: a barrier run
 deadlocks exactly when evaluation latency exceeds one step while the
 probe loop never does, completion handshakes are prompt, channels stay
 sound under load, the surrogate math matches dense oracles, the QUBO
@@ -42,9 +42,9 @@ from probeopt.qubo.model import to_qubo
 from probeopt.qubo.problem import QuboWeights, SatelliteProblem, generate_geometry
 from probeopt.runtime.channel import Channel
 from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
-from probeopt.runtime.tokens import CommandKind, Scalar
+from probeopt.runtime.tokens import CommandKind
 from probeopt.errors import Disconnected
-from support import all_state_energies, dense_gp_predict, ei_reference
+from support import Scalar, all_state_energies, dense_gp_predict, ei_reference
 
 
 @contextmanager

@@ -10,7 +10,7 @@ import pytest
 
 from probeopt.errors import ConfigError, Disconnected
 from probeopt.runtime.channel import Channel
-from probeopt.runtime.tokens import Scalar
+from support import Scalar
 
 
 def test_capacity_must_be_positive():

@@ -21,8 +21,8 @@ from probeopt.qubo.conflict import build_conflict_graph
 from probeopt.qubo.model import to_qubo
 from probeopt.qubo.problem import SatelliteProblem, generate_geometry
 from probeopt.qubo.schedule import decode
-from probeopt.runtime.tokens import Done, ParamVector, ResultTuple, Scalar
-from support import wire_standalone
+from probeopt.runtime.tokens import Done, ParamVector, ResultTuple
+from support import Scalar, wire_standalone
 
 
 def _problem():

@@ -12,8 +12,9 @@ from probeopt.errors import CommandAfterStop, UnknownProcess
 from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
 from probeopt.runtime.process import Process
 from probeopt.runtime.timesource import VirtualClock
-from probeopt.runtime.tokens import CommandKind, Scalar
+from probeopt.runtime.tokens import CommandKind
 from probeopt.runtime.trace import ListRecorder
+from support import Scalar
 
 
 class _ProbingCaller(Process):
@@ -194,6 +195,39 @@ def test_pause_longer_than_the_watchdog_is_not_a_deadlock(mode, clock):
     assert handle.finished
     assert not report.deadlock_detected and not report.errors
     assert graph.is_terminated("c")
+
+
+class _CpuClockSpy(_Counter):
+    """A counter that records the CPU clock of the thread that drives it."""
+
+    def setup(self, ctx):
+        self.cpu_clock = time.pthread_getcpuclockid(threading.get_ident())
+
+
+@pytest.mark.parametrize(
+    "mode, clock",
+    [(Mode.ASYNC, VirtualClock), (Mode.SYNC_BARRIER, None)],
+    ids=["paced", "barrier"],
+)
+def test_paused_single_driver_does_not_spin(mode, clock):
+    """While every process is paused the driver thread sleeps wall time."""
+    graph = ProcessGraph()
+    spy = graph.add_process(_CpuClockSpy("c"))
+    handle = graph.start(
+        mode,
+        RunLimits(max_steps=10_000_000, watchdog_timeout=5.0),
+        time_source=clock() if clock else None,
+    )
+    time.sleep(0.05)
+    graph.issue_command("c", CommandKind.PAUSE)
+    time.sleep(0.05)  # let the pause land
+    cpu0, wall0 = time.clock_gettime(spy.cpu_clock), time.monotonic()
+    time.sleep(1.0)
+    cpu1, wall1 = time.clock_gettime(spy.cpu_clock), time.monotonic()
+    graph.issue_command("c", CommandKind.STOP)
+    report = handle.wait(5.0)
+    assert not report.deadlock_detected and not report.errors
+    assert (cpu1 - cpu0) / (wall1 - wall0) < 0.3
 
 
 def test_stop_is_prompt_and_terminal():

@@ -7,8 +7,10 @@ import pytest
 from probeopt.errors import ConfigError
 from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
 from probeopt.runtime.process import Process
-from probeopt.runtime.tokens import CommandKind, Scalar
+from probeopt.runtime.timesource import TimeSource, VirtualClock
+from probeopt.runtime.tokens import CommandKind
 from probeopt.runtime.trace import ListRecorder
+from support import Scalar
 
 
 class _PingPongCaller(Process):
@@ -60,12 +62,12 @@ class _DelayedResponder(Process):
         return False
 
 
-def _pingpong_graph(latency, rounds=3):
+def _pingpong_graph(latency, rounds=3, responder_first=False):
     graph = ProcessGraph()
     caller = _PingPongCaller("caller", rounds)
     responder = _DelayedResponder("responder", latency)
-    graph.add_process(caller)
-    graph.add_process(responder)
+    for proc in (responder, caller) if responder_first else (caller, responder):
+        graph.add_process(proc)
     graph.connect(caller.out_port("req"), responder.in_port("req"), capacity=4)
     graph.connect(responder.out_port("resp"), caller.in_port("resp"), capacity=4)
     return graph, caller
@@ -88,6 +90,26 @@ def test_lockstep_deadlocks_when_latency_exceeds_one(latency):
     assert "caller" in report.deadlock_diagnostic
     assert "resp" in report.deadlock_diagnostic
     assert "recv" in report.deadlock_diagnostic
+
+
+@pytest.mark.parametrize("latency", [1, 2, 3, 5])
+def test_lockstep_outcome_ignores_registration_order(latency):
+    """Responder registered first: a round still runs in name order."""
+    graph, caller = _pingpong_graph(latency=latency, responder_first=True)
+    report = graph.run(Mode.SYNC_BARRIER, RunLimits(max_steps=100_000, watchdog_timeout=0.3))
+    assert report.deadlock_detected == (latency > 1)
+    assert caller.completed == (3 if latency == 1 else 0)
+
+
+def test_barrier_accepts_a_virtual_clock_and_rejects_wall_time():
+    graph, caller = _pingpong_graph(latency=1)
+    with pytest.raises(ConfigError):
+        graph.start(Mode.SYNC_BARRIER, time_source=TimeSource())
+    report = graph.run(
+        Mode.SYNC_BARRIER, RunLimits(max_steps=1000, watchdog_timeout=1.0), VirtualClock()
+    )
+    assert not report.deadlock_detected
+    assert caller.completed == 3
 
 
 class _Ticker(Process):

@@ -17,8 +17,8 @@ from probeopt.optimizer.loop import (
 from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
 from probeopt.runtime.process import Process, RefPortHandle, RefVar
 from probeopt.runtime.timesource import VirtualClock
-from probeopt.runtime.tokens import CommandKind, Done, ParamVector, ResultTuple, Scalar
-from support import wire_standalone
+from probeopt.runtime.tokens import CommandKind, Done, ParamVector, ResultTuple
+from support import Scalar, wire_standalone
 
 
 class _ScriptedSearch:
@@ -48,8 +48,8 @@ _POINTS = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8)]
 def _make_optimizer(budget=3, sleep=0.0005):
     search = _ScriptedSearch(_POINTS)
     opt = AsyncOptimizer("opt", search, budget, probe_sleep=sleep)
-    ctx, channels, recorder, mgmt = wire_standalone(opt)
-    return opt, search, ctx, channels, recorder, mgmt
+    ctx, channels, recorder, commands = wire_standalone(opt)
+    return opt, search, ctx, channels, recorder, commands
 
 
 def test_first_iteration_suggests():

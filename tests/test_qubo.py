@@ -10,8 +10,8 @@ from probeopt.qubo.anneal import AnnealParams, solve
 from probeopt.qubo.conflict import ConflictGraph
 from probeopt.qubo.model import QuboMatrix, energy, to_qubo
 from probeopt.qubo.problem import QuboWeights
-from probeopt.qubo.schedule import decode, violation_count
-from support import all_state_energies, conflict_free, naive_energy
+from probeopt.qubo.schedule import decode
+from support import all_state_energies, conflict_free, naive_energy, violation_count
 
 
 def _chain_graph():
