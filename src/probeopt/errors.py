@@ -51,3 +51,7 @@ class NotPositiveDefinite(ProbeoptError, ValueError):
 
 class EmptyGraph(ProbeoptError, ValueError):
     """No visible satellite/request pairs, so there is nothing to encode."""
+
+
+class MalformedGraph(ProbeoptError, ValueError):
+    """Conflict edges with a self-loop, a repeat or an endpoint out of range."""

@@ -18,6 +18,7 @@ Four scenarios over the same two-process graph:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -88,6 +89,19 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
+        if self.budget is not None and self.budget < 1:
+            raise ConfigError(f"--budget must be at least 1, got {self.budget}")
+        # The virtual clock advances a process only by the time it sleeps:
+        # a paced process that sleeps 0 keeps the floor and starves its peer.
+        paced = self.scenario == "bo-qubo"
+        for flag, value, what in (
+            ("--step-ms", self.step_ms, "evaluator step"),
+            ("--sleep-ms", self.sleep_ms, "probe sleep"),
+        ):
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{flag}: {what} must be nonnegative and finite, got {value:g} ms")
+            if paced and value == 0.0:
+                raise ConfigError(f"{flag}: {what} must be positive on the paced bo-qubo run, got 0 ms")
 
     @property
     def effective_budget(self) -> int:

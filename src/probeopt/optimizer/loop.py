@@ -17,6 +17,7 @@ candidate port so a peer evaluator knows to shut down.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Optional
 
@@ -45,8 +46,8 @@ class AsyncOptimizer(Process):
         probe_sleep: float = 0.010,
     ) -> None:
         super().__init__(name)
-        if probe_sleep < 0:
-            raise ConfigError(f"probe sleep must be nonnegative, got {probe_sleep:g} s")
+        if not 0.0 <= probe_sleep < math.inf:
+            raise ConfigError(f"probe sleep must be nonnegative and finite, got {probe_sleep:g} s")
         self.search = search
         self.budget = budget
         self.probe_sleep = probe_sleep

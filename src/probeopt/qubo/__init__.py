@@ -2,7 +2,7 @@
 
 from .anneal import AnnealParams, AnnealResult, solve, temperature_schedule
 from .conflict import ConflictGraph, build_conflict_graph, visible_pairs
-from .model import QuboMatrix, energy, to_qubo
+from .model import ConflictQubo, energy, to_qubo
 from .problem import Geometry, QuboWeights, SatelliteProblem, generate_geometry
 from .schedule import Schedule, decode, violated_edges
 
@@ -10,8 +10,8 @@ __all__ = [
     "AnnealParams",
     "AnnealResult",
     "ConflictGraph",
+    "ConflictQubo",
     "Geometry",
-    "QuboMatrix",
     "QuboWeights",
     "SatelliteProblem",
     "Schedule",

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .kernels import sweep
-from .model import QuboMatrix
+from .model import ConflictQubo
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,7 @@ def temperature_schedule(params: AnnealParams) -> np.ndarray:
     return params.t_start * ratio**exponents
 
 
-def sweep_operands(qubo: QuboMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, symmetric couplings with a zeroed diagonal), as ``sweep`` takes them."""
-    coupling = qubo.q + qubo.q.T
-    np.fill_diagonal(coupling, 0.0)
-    return np.ascontiguousarray(np.diag(qubo.q)), coupling
-
-
-def solve(qubo: QuboMatrix, params: AnnealParams, rng: np.random.Generator) -> AnnealResult:
+def solve(qubo: ConflictQubo, params: AnnealParams, rng: np.random.Generator) -> AnnealResult:
     """Anneal from the all-zeros state; return the best state visited.
 
     The accept rolls are the only randomness and are drawn from ``rng``
@@ -56,10 +49,9 @@ def solve(qubo: QuboMatrix, params: AnnealParams, rng: np.random.Generator) -> A
     n = qubo.n
     temps = temperature_schedule(params)
     uniforms = rng.random((params.sweeps, n))
-    qdiag, coupling = sweep_operands(qubo)
     state = np.zeros(n, dtype=np.int64)
     best_state = np.zeros(n, dtype=np.int64)
-    _, best_energy = sweep(qdiag, coupling, temps, uniforms, state, best_state)
+    _, best_energy = sweep(qubo, temps, uniforms, state, best_state)
     return AnnealResult(
         state=best_state,
         energy=float(best_energy),

@@ -1,89 +1,90 @@
-"""Annealer sweep kernel: sequential Metropolis over sparse couplings.
+"""Annealer sweep kernel: sequential Metropolis indexed by neighbour counts.
 
-The kernel is defined by the dense loop it replaces: on every flip
+The kernel is defined by the dense loop over the upper-triangular Q it
+stands for (``tests/support.dense_sweep_reference``): on every flip
 attempt the local field is ``sum_j coupling[k, j] * state[j]`` over all
-``n`` columns, accumulated left to right. Each term that loop adds for an
-unselected or uncoupled column is a signed zero, and adding a signed zero
-to an accumulator that starts at +0.0 leaves it unchanged. Summing only
-the nonzero couplings of the *selected* neighbours, in index order,
-therefore reproduces every field, delta, accept decision and energy
-bit for bit at O(degree) per attempt instead of O(n). This needs finite
-couplings (``inf * 0`` is NaN), which ``QuboWeights`` enforces.
+``n`` columns of ``coupling = Q + Q^T`` (zeroed diagonal), accumulated
+left to right from +0.0, and the flip delta is
+``(1 - 2 * state[k]) * (Q[k, k] + field)``.
 
-Each variable's flip delta is carried between attempts and recomputed
-only when it may have changed. With a zero coupling diagonal, variable
-k's field does not depend on ``state[k]``, so it changes only when a
-neighbour flips: a rejected attempt keeps its delta, an accepted flip of
-k leaves k's delta exactly negated (IEEE negation is exact) and marks
-the deltas of k's neighbours stale; the coupling is symmetric, so those
-are exactly the variables whose field reads ``state[k]``. A stale delta
-is re-summed from the definition as above, so every delta the kernel
-uses is bit-equal to the dense one. Carried values are never added to:
-an incremental ``field += c`` update rounds differently and can change
-the accept decision when ``delta`` lands near zero.
+For the weighted independent-set QUBO that ``to_qubo`` builds, that
+delta depends only on two integers: the variable's bit and ``m``, the
+number of its neighbours that are selected. The edges form a simple
+graph, so every nonzero coupling is ``w_penalty + 0.0 == w_penalty`` (the
+other triangle holds 0.0), and every other term of the dense sum is
++0.0, which leaves a nonnegative accumulator unchanged. The dense field
+is therefore exactly ``S[m]`` with ``S[0] = 0.0`` and
+``S[m] = S[m-1] + w_penalty``, the same left-to-right sum, and the delta
+is ``-w_reward + S[m]`` for a 0 bit and its exact negation for a 1 bit.
+
+Each variable ``k`` carries ``idx[k] = x[k] * (D + 1) + m_k``, where ``D``
+is the largest degree; ``idx`` indexes one delta table of ``2 * (D + 1)``
+entries built per solve. Each sweep turns the table into accept
+thresholds: ``exp(-delta / t)`` for a positive delta, the same operands
+the dense loop passes, and +inf for ``delta <= 0``, which every roll is
+below. An attempt is then ``roll < thr[idx[k]]``. An accepted flip adds
+the table entry to the energy, moves ``idx[k]`` by ``D + 1`` and each
+neighbour's ``idx`` by 1; integer counts are exact, so every delta,
+accept decision and energy equals the dense loop's bit for bit, while
+``exp`` runs at most ``2 * (D + 1)`` times per sweep instead of once per
+attempt.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 
+def sweep(qubo, temps, uniforms, state, best_state):
+    """Sequential single-flip Metropolis sweeps over a ``ConflictQubo``.
 
-def sweep(qdiag, coupling, temps, uniforms, state, best_state):
-    """Sequential single-flip Metropolis sweeps over a QUBO.
-
-    qdiag: (n,) diagonal of Q. coupling: (n, n) symmetric off-diagonal
-    couplings (Q + Q^T with a zeroed diagonal), all finite. temps:
-    (sweeps,) temperature per sweep. uniforms: (sweeps, n) pre-drawn
-    accept rolls, one per flip attempt, so the trajectory is a pure
-    function of the inputs. state is mutated in place; best_state
-    receives the lowest energy configuration visited. Returns
-    (final_energy, best_energy).
+    temps: (sweeps,) temperature per sweep. uniforms: (sweeps, n)
+    pre-drawn accept rolls, one per flip attempt, so the trajectory is a
+    pure function of the inputs. state (0/1 per variable) is mutated in
+    place; best_state receives the lowest energy configuration visited.
+    Returns (final_energy, best_energy).
     """
-    if np.any(np.diagonal(coupling)):
-        raise ValueError("coupling diagonal must be zero: carried flip deltas rely on it")
-    if not np.array_equal(coupling, coupling.T):
-        raise ValueError("coupling must be symmetric: carried flip deltas rely on it")
-    n = qdiag.shape[0]
-    qd = qdiag.tolist()
-    x = state.tolist()
-    rows, cols = np.nonzero(coupling)
-    neighbours = [[] for _ in range(n)]
-    for k, j, c in zip(rows.tolist(), cols.tolist(), coupling[rows, cols].tolist()):
-        neighbours[k].append((j, c))
+    neighbours = qubo.neighbours
+    w_reward, w_penalty = qubo.w_reward, qubo.w_penalty
+    stride = max(map(len, neighbours), default=0) + 1
+    field = [0.0]
+    for _ in range(1, stride):
+        field.append(field[-1] + w_penalty)
+    table = [-w_reward + s for s in field]
+    table += [-d for d in table]
+    uphill = [(i, -d) for i, d in enumerate(table) if d > 0.0]
 
+    x = state.tolist()
     e = 0.0
-    for i in range(n):
+    for i, row in enumerate(neighbours):
         if x[i]:
-            e += qd[i]
-            for j, c in neighbours[i]:
+            e += -w_reward
+            for j in row:
                 if j > i and x[j]:
-                    e += c
+                    e += w_penalty
+    idx = [x[k] * stride + sum(x[j] for j in row) for k, row in enumerate(neighbours)]
     best = e
-    best_x = x[:]
+    best_idx = idx[:]
     exp = math.exp
-    deltas = [None] * n  # carried flip delta per variable; None when stale
+    thr = [math.inf] * len(table)
     for t, rolls in zip(temps.tolist(), uniforms.tolist()):
-        for k in range(n):
-            delta = deltas[k]
-            if delta is None:
-                acc = 0.0
-                for j, c in neighbours[k]:
-                    if x[j]:
-                        acc += c
-                delta = -(qd[k] + acc) if x[k] else qd[k] + acc
-            if delta <= 0.0 or rolls[k] < exp(-delta / t):
-                x[k] = 1 - x[k]
-                e += delta
-                for j, _ in neighbours[k]:
-                    deltas[j] = None
-                deltas[k] = -delta
+        for i, neg in uphill:
+            thr[i] = exp(neg / t)
+        for k, roll in enumerate(rolls):
+            i = idx[k]
+            if roll < thr[i]:
+                e += table[i]
+                if i < stride:
+                    idx[k] = i + stride
+                    for j in neighbours[k]:
+                        idx[j] += 1
+                else:
+                    idx[k] = i - stride
+                    for j in neighbours[k]:
+                        idx[j] -= 1
                 if e < best:
                     best = e
-                    best_x = x[:]
-            else:
-                deltas[k] = delta
-    state[:] = x
-    best_state[:] = best_x
+                    best_idx = idx[:]
+    state[:] = [int(i >= stride) for i in idx]
+    best_state[:] = [int(i >= stride) for i in best_idx]
     return e, best

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from probeopt.qubo.conflict import ConflictGraph
+from probeopt.qubo.model import to_qubo
+from probeopt.qubo.problem import QuboWeights
 from probeopt.runtime.channel import Channel
 from probeopt.runtime.process import Process, ProcessContext
 from probeopt.runtime.timesource import TimeSource
@@ -66,6 +69,24 @@ def ei_reference(mean, var, y_best, xi):
 # -- QUBO oracles ---------------------------------------------------------------
 
 
+def qubo_on(n, edges, w_reward=1.0, w_penalty=2.0):
+    """to_qubo of the graph on n nodes with the given edges."""
+    graph = ConflictGraph(nodes=tuple((0, k) for k in range(n)), edges=tuple(edges))
+    return to_qubo(graph, QuboWeights(w_reward=w_reward, w_penalty=w_penalty))
+
+
+def random_conflict_qubo(rng, n, w_penalty=None, w_reward=None):
+    """qubo_on a random simple graph: G(n, p) edges, p drawn from
+    [0.1, 0.7]; weights drawn unless given."""
+    p = rng.uniform(0.1, 0.7)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    if w_reward is None:
+        w_reward = float(rng.uniform(0.5, 2.0))
+    if w_penalty is None:
+        w_penalty = float(rng.uniform(0.25, 4.0))
+    return qubo_on(n, edges, w_reward, w_penalty)
+
+
 def naive_energy(q, x):
     """x^T Q x by explicit double loop over the upper triangle."""
     n = len(x)
@@ -96,11 +117,21 @@ def all_state_energies(q):
     return bits, diag + pair
 
 
+def sweep_operands(qubo):
+    """(diagonal, symmetric couplings with a zeroed diagonal) of the dense Q,
+    as ``dense_sweep_reference`` takes them."""
+    q = qubo.matrix()
+    coupling = q + q.T
+    np.fill_diagonal(coupling, 0.0)
+    return np.ascontiguousarray(np.diag(q)), coupling
+
+
 def dense_sweep_reference(qdiag, coupling, temps, uniforms, state, best_state):
     """The annealer sweep from its definition: the field re-summed densely.
 
-    Same contract as ``probeopt.qubo.kernels.sweep``: every flip attempt
-    adds ``coupling[k, j] * state[j]`` over all n columns, so it costs
+    The definition ``probeopt.qubo.kernels.sweep`` must reproduce, on
+    the operands ``sweep_operands`` builds: every flip attempt adds
+    ``coupling[k, j] * state[j]`` over all n columns, so it costs
     O(sweeps * n^2). state is mutated in place; best_state receives the
     lowest-energy configuration visited. Returns (final_energy, best_energy).
     """

@@ -373,7 +373,7 @@ def test_7_qubo_soundness(capsys):
         hits = 0
         for index, graph in enumerate(instances):
             qubo = to_qubo(graph, QuboWeights(w_reward=1.0, w_penalty=2.0))
-            bits, energies = all_state_energies(qubo.q)
+            bits, energies = all_state_energies(qubo.matrix())
             edges = np.array(graph.edges, dtype=int).reshape(-1, 2)
             violations = (
                 (bits[:, edges[:, 0]] * bits[:, edges[:, 1]]).sum(axis=1)

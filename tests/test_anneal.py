@@ -7,17 +7,19 @@ import pytest
 
 from probeopt.errors import ConfigError
 from probeopt.harness.scenarios import default_problem
-from probeopt.qubo.anneal import AnnealParams, solve, sweep_operands, temperature_schedule
+from probeopt.qubo.anneal import AnnealParams, solve, temperature_schedule
 from probeopt.qubo.conflict import build_conflict_graph
 from probeopt.qubo.kernels import sweep
-from probeopt.qubo.model import QuboMatrix, to_qubo
+from probeopt.qubo.model import to_qubo
 from probeopt.qubo.problem import SatelliteProblem, generate_geometry
-from support import all_state_energies, dense_sweep_reference, naive_energy
-
-
-def _random_qubo(rng, n):
-    q = np.triu(rng.normal(scale=1.5, size=(n, n)))
-    return QuboMatrix(q=q)
+from support import (
+    all_state_energies,
+    dense_sweep_reference,
+    naive_energy,
+    qubo_on,
+    random_conflict_qubo,
+    sweep_operands,
+)
 
 
 def test_params_validation():
@@ -46,7 +48,7 @@ def test_single_sweep_schedule():
 def test_deterministic_given_generator_state():
     rng1 = np.random.default_rng(55)
     rng2 = np.random.default_rng(55)
-    qm = _random_qubo(np.random.default_rng(0), 10)
+    qm = random_conflict_qubo(np.random.default_rng(0), 10)
     r1 = solve(qm, AnnealParams(sweeps=50), rng1)
     r2 = solve(qm, AnnealParams(sweeps=50), rng2)
     assert np.array_equal(r1.state, r2.state)
@@ -55,7 +57,7 @@ def test_deterministic_given_generator_state():
 
 
 def test_steps_taken_accounting():
-    qm = _random_qubo(np.random.default_rng(1), 8)
+    qm = random_conflict_qubo(np.random.default_rng(1), 8)
     result = solve(qm, AnnealParams(sweeps=30), np.random.default_rng(2))
     assert result.steps_taken == 30 * 8
 
@@ -64,9 +66,9 @@ def test_reported_energy_matches_state():
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = int(rng.integers(3, 14))
-        qm = _random_qubo(rng, n)
+        qm = random_conflict_qubo(rng, n)
         result = solve(qm, AnnealParams(sweeps=40), rng)
-        assert np.isclose(result.energy, naive_energy(qm.q, result.state), atol=1e-9)
+        assert np.isclose(result.energy, naive_energy(qm.matrix(), result.state), atol=1e-9)
 
 
 def test_finds_ground_state_on_small_instances():
@@ -74,8 +76,8 @@ def test_finds_ground_state_on_small_instances():
     hits = 0
     for i in range(10):
         n = int(rng.integers(6, 17))
-        qm = _random_qubo(rng, n)
-        ground = all_state_energies(qm.q)[1].min()
+        qm = random_conflict_qubo(rng, n)
+        ground = all_state_energies(qm.matrix())[1].min()
         result = solve(qm, AnnealParams(sweeps=200), np.random.default_rng(1000 + i))
         if np.isclose(result.energy, ground, atol=1e-9):
             hits += 1
@@ -83,16 +85,17 @@ def test_finds_ground_state_on_small_instances():
 
 
 def _assert_matches_dense_reference(qm, params, seed, start):
-    """Run the kernel and the dense oracle on identical inputs; compare with ==."""
+    """Run the kernel on the sparse QUBO and the dense oracle on its matrix,
+    with identical rolls and start; compare with ==."""
     n = qm.n
     temps = temperature_schedule(params)
     uniforms = np.random.default_rng(seed).random((params.sweeps, n))
     qdiag, coupling = sweep_operands(qm)
     outputs = []
-    for kernel in (sweep, dense_sweep_reference):
+    for kernel, operands in ((sweep, (qm,)), (dense_sweep_reference, (qdiag, coupling))):
         state = np.array(start, dtype=np.int64)
         best_state = np.zeros(n, dtype=np.int64)
-        final_energy, best_energy = kernel(qdiag, coupling, temps, uniforms, state, best_state)
+        final_energy, best_energy = kernel(*operands, temps, uniforms, state, best_state)
         outputs.append((state.tolist(), best_state.tolist(), final_energy, best_energy))
     assert outputs[0] == outputs[1]
 
@@ -101,11 +104,46 @@ def test_kernel_matches_dense_reference_on_random_qubos():
     rng = np.random.default_rng(2024)
     for trial in range(12):
         n = int(rng.integers(2, 25))
-        qm = _random_qubo(rng, n)  # signed couplings and diagonal
-        qm.q[rng.random((n, n)) < 0.3] = 0.0  # some exact zeros among the couplings
+        qm = random_conflict_qubo(rng, n)
         start = rng.integers(0, 2, size=n)
         params = AnnealParams(sweeps=40, t_start=float(rng.uniform(0.5, 5.0)))
         _assert_matches_dense_reference(qm, params, 100 + trial, start)
+
+
+# Degree extremes: no neighbours (a two-entry delta table), every node
+# adjacent to every other, and one hub of degree 40 among leaves of degree 1.
+SPECIAL_GRAPHS = {
+    "empty": (9, ()),
+    "complete": (14, tuple((i, j) for i in range(14) for j in range(i + 1, 14))),
+    "star-40": (41, tuple((0, j) for j in range(1, 41))),
+}
+
+
+@pytest.mark.parametrize("graph", SPECIAL_GRAPHS)
+@pytest.mark.parametrize("t_start", [0.5, 2.0, 25.0])
+def test_kernel_matches_dense_reference_on_special_graphs(graph, t_start):
+    n, edges = SPECIAL_GRAPHS[graph]
+    rng = np.random.default_rng(17)
+    for w_penalty in (0.4, 1.37, 3.0):
+        qm = qubo_on(n, edges, w_reward=1.1, w_penalty=w_penalty)
+        params = AnnealParams(sweeps=30, t_start=t_start)
+        for start in (np.zeros(n, dtype=np.int64), rng.integers(0, 2, size=n)):
+            _assert_matches_dense_reference(qm, params, int(rng.integers(1 << 30)), start)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("w_reward", [1.0, 1.5, 2.37])
+def test_kernel_matches_dense_reference_where_delta_is_zero(k, w_reward):
+    # With w_penalty = w_reward / k, a 0 bit with k selected neighbours
+    # has delta -w_reward + S[k] == 0.0 exactly: accepted without a roll.
+    w_penalty = w_reward / k
+    assert -w_reward + sum([w_penalty] * k) == 0.0
+    rng = np.random.default_rng(k * 100 + int(w_reward * 10))
+    for _ in range(4):
+        n = int(rng.integers(8, 24))
+        qm = random_conflict_qubo(rng, n, w_penalty=w_penalty, w_reward=w_reward)
+        params = AnnealParams(sweeps=40, t_start=float(rng.uniform(0.5, 5.0)))
+        _assert_matches_dense_reference(qm, params, int(rng.integers(1 << 30)), rng.integers(0, 2, size=n))
 
 
 LARGE_PROBLEM = SatelliteProblem(n_satellites=4, n_requests=30, view_height=0.5, turn_speed=1.0, seed=7)
@@ -124,12 +162,13 @@ def test_kernel_matches_dense_reference_on_conflict_qubos(problem, w_penalty):
     _assert_matches_dense_reference(qm, params, 7, np.zeros(graph.n, dtype=np.int64))
 
 
-# Carried flip deltas: each regime stresses one path of the kernel's delta
-# bookkeeping. Hot (t >= 20): ~98% of attempts flip, so most deltas go stale
-# before reuse. Long cold (300 sweeps at t <= 0.1): ~0.4% flip, so deltas
-# are carried for many sweeps. Single sweep: no delta is ever reused.
-# Random starts: deltas begin from arbitrary selected neighbourhoods.
-CARRIED_DELTA_REGIMES = {
+# Annealing regimes, each stressing one path of the kernel's count
+# bookkeeping. Hot (t >= 20): ~98% of attempts flip, so counts move on
+# almost every attempt. Long cold (300 sweeps at t <= 0.1): ~0.4% flip,
+# so thresholds sit far below 1 and counts stay put for many sweeps.
+# Single sweep: one threshold table. Random starts: counts begin from
+# arbitrary selected neighbourhoods.
+REGIMES = {
     "hot": ((1.0 / 3.0,), AnnealParams(sweeps=40, t_start=25.0, t_end=20.0), False),
     "long-cold": ((1.37,), AnnealParams(sweeps=300, t_start=0.1, t_end=0.05), False),
     "single-sweep": ((2.718281828,), AnnealParams(sweeps=1, t_start=1.7), False),
@@ -138,9 +177,9 @@ CARRIED_DELTA_REGIMES = {
 
 
 @pytest.mark.parametrize("problem", [default_problem(), LARGE_PROBLEM], ids=["3x12", "4x30"])
-@pytest.mark.parametrize("regime", CARRIED_DELTA_REGIMES)
+@pytest.mark.parametrize("regime", REGIMES)
 def test_carried_deltas_match_dense_reference(problem, regime):
-    penalties, params, random_start = CARRIED_DELTA_REGIMES[regime]
+    penalties, params, random_start = REGIMES[regime]
     rng = np.random.default_rng(31)
     for w_penalty in penalties:
         tuned = problem.with_weights(w_penalty=w_penalty)
@@ -148,19 +187,3 @@ def test_carried_deltas_match_dense_reference(problem, regime):
         qm = to_qubo(graph, tuned.qubo_weights)
         start = rng.integers(0, 2, size=qm.n) if random_start else np.zeros(qm.n, dtype=np.int64)
         _assert_matches_dense_reference(qm, params, int(rng.integers(1 << 30)), start)
-
-
-@pytest.mark.parametrize(
-    "entry, value, message",
-    [((2, 2), 0.5, "diagonal"), ((1, 3), 0.25, "symmetric")],
-    ids=["nonzero-diagonal", "asymmetric"],
-)
-def test_kernel_rejects_couplings_carried_deltas_cannot_follow(entry, value, message):
-    qm = _random_qubo(np.random.default_rng(4), 5)
-    qdiag, coupling = sweep_operands(qm)
-    coupling[entry] += value
-    temps = temperature_schedule(AnnealParams(sweeps=3))
-    uniforms = np.random.default_rng(5).random((3, 5))
-    state = np.zeros(5, dtype=np.int64)
-    with pytest.raises(ValueError, match=message):
-        sweep(qdiag, coupling, temps, uniforms, state, np.zeros_like(state))

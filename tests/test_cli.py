@@ -140,6 +140,37 @@ def test_negative_sleep_exits_two_naming_the_probe_sleep(scenario, capsys):
     assert "probe sleep must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, flags, named",
+    [
+        ("bo-qubo", ["--step-ms", "0"], "--step-ms"),
+        ("bo-qubo", ["--step-ms", "-1"], "--step-ms"),
+        ("bo-qubo", ["--step-ms", "inf"], "--step-ms"),
+        ("bo-qubo", ["--sleep-ms", "0"], "--sleep-ms"),
+        ("bo-qubo", ["--sleep-ms", "nan"], "--sleep-ms"),
+        ("bo-qubo", ["--budget", "0"], "--budget"),
+        ("bo-qubo", ["--budget", "-3"], "--budget"),
+        ("async-probe", ["--step-ms", "nan"], "--step-ms"),
+        ("async-probe", ["--sleep-ms", "inf"], "--sleep-ms"),
+        ("sync-ok", ["--budget", "0"], "--budget"),
+    ],
+)
+def test_pacing_that_cannot_finish_exits_two_naming_the_flag(scenario, flags, named, capsys):
+    # Each of these used to run to max_steps (or do nothing) instead of
+    # failing fast: a paced process that sleeps 0 keeps the virtual floor.
+    rc = main(["run", "--scenario", scenario, *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_async_probe_keeps_zero_sleep(capsys):
+    # Wall-clock threads advance on their own; a zero probe sleep busy-waits.
+    rc = main(["run", "--scenario", "async-probe", "--budget", "2", "--sleep-ms", "0"])
+    assert rc == 0
+    assert "completed 2/2" in capsys.readouterr().out
+
+
 def test_run_timeout_exits_three(monkeypatch, capsys):
     def overrun(cfg):
         raise TimeoutError("run did not finish within 150.0s")

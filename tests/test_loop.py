@@ -149,6 +149,13 @@ def test_negative_probe_sleep_rejected():
         AsyncOptimizer("opt", _ScriptedSearch(_POINTS), 3, probe_sleep=-0.001)
 
 
+@pytest.mark.parametrize("sleep", [float("nan"), float("inf")])
+def test_non_finite_probe_sleep_rejected(sleep):
+    # NaN slips past a `< 0` check, and would poison a virtual clock.
+    with pytest.raises(ConfigError, match="finite"):
+        AsyncOptimizer("opt", _ScriptedSearch(_POINTS), 3, probe_sleep=sleep)
+
+
 # -- under the runtime: commands, crashes and done ----------------------------
 
 

@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from probeopt.errors import DimensionMismatch, EmptyGraph
+from probeopt.errors import DimensionMismatch, EmptyGraph, MalformedGraph
 from probeopt.qubo.anneal import AnnealParams, solve
 from probeopt.qubo.conflict import ConflictGraph
-from probeopt.qubo.model import QuboMatrix, energy, to_qubo
+from probeopt.qubo.model import energy, to_qubo
 from probeopt.qubo.problem import QuboWeights
 from probeopt.qubo.schedule import decode
-from support import all_state_energies, conflict_free, naive_energy, violation_count
+from support import (
+    all_state_energies,
+    conflict_free,
+    naive_energy,
+    random_conflict_qubo,
+    violation_count,
+)
 
 
 def _chain_graph():
@@ -20,7 +26,9 @@ def _chain_graph():
 
 
 def test_hand_worked_energies():
-    q = QuboMatrix(q=np.array([[-1.0, 3.0], [0.0, -1.0]]))
+    graph = ConflictGraph(nodes=((0, 0), (1, 0)), edges=((0, 1),))
+    q = to_qubo(graph, QuboWeights(w_reward=1.0, w_penalty=3.0))
+    assert q.matrix().tolist() == [[-1.0, 3.0], [0.0, -1.0]]
     assert energy(q, [1, 1]) == 1.0
     assert energy(q, [1, 0]) == -1.0
     assert energy(q, [0, 1]) == -1.0
@@ -31,14 +39,13 @@ def test_energy_matches_naive_double_loop():
     rng = np.random.default_rng(8)
     for _ in range(30):
         n = int(rng.integers(2, 13))
-        q = np.triu(rng.normal(size=(n, n)))
-        qm = QuboMatrix(q=q)
+        qm = random_conflict_qubo(rng, n)
         x = rng.integers(0, 2, size=n)
-        assert np.isclose(energy(qm, x), naive_energy(q, x), atol=1e-9)
+        assert np.isclose(energy(qm, x), naive_energy(qm.matrix(), x), atol=1e-9)
 
 
 def test_energy_dimension_check():
-    qm = QuboMatrix(q=np.zeros((3, 3)))
+    qm = to_qubo(_chain_graph(), QuboWeights())
     with pytest.raises(DimensionMismatch):
         energy(qm, [1, 0])
 
@@ -47,15 +54,36 @@ def test_to_qubo_structure():
     graph = _chain_graph()
     qm = to_qubo(graph, QuboWeights(w_reward=1.5, w_penalty=4.0))
     assert qm.n == 3
-    assert np.allclose(np.diag(qm.q), -1.5)
-    assert qm.q[0, 1] == 4.0 and qm.q[1, 2] == 4.0
-    assert qm.q[0, 2] == 0.0
-    assert np.allclose(qm.q, np.triu(qm.q))  # strictly upper triangular layout
+    assert qm.neighbours == ((1,), (0, 2), (1,))
+    q = qm.matrix()
+    assert np.allclose(np.diag(q), -1.5)
+    assert q[0, 1] == 4.0 and q[1, 2] == 4.0
+    assert q[0, 2] == 0.0
+    assert np.allclose(q, np.triu(q))  # strictly upper triangular layout
 
 
 def test_to_qubo_rejects_empty_graph():
     with pytest.raises(EmptyGraph):
         to_qubo(ConflictGraph(nodes=(), edges=()), QuboWeights())
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 1), (1, 1)), "self-loop"),
+        (((0, 1), (1, 2), (0, 1)), "twice"),
+        (((1, 0), (0, 1)), "twice"),
+        (((0, 1), (1, 3)), "out of range"),
+        (((-1, 2),), "out of range"),
+    ],
+    ids=["self-loop", "duplicate", "duplicate-reversed", "out-of-range", "negative"],
+)
+def test_to_qubo_rejects_malformed_edges(edges, message):
+    # The count kernel and the dense form both read one w_penalty per
+    # edge of a simple graph; anything else is refused at the model.
+    graph = ConflictGraph(nodes=((0, 0), (0, 1), (1, 1)), edges=edges)
+    with pytest.raises(MalformedGraph, match=message):
+        to_qubo(graph, QuboWeights())
 
 
 def test_minimizers_are_max_independent_sets():
@@ -72,7 +100,7 @@ def test_minimizers_are_max_independent_sets():
         )
         graph = ConflictGraph(nodes=tuple((0, k) for k in range(n)), edges=edges)
         qm = to_qubo(graph, QuboWeights(w_reward=1.0, w_penalty=2.0))
-        bits, energies = all_state_energies(qm.q)
+        bits, energies = all_state_energies(qm.matrix())
         ground = energies.min()
         minimizers = bits[energies <= ground + 1e-9]
         sizes = []
