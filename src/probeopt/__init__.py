@@ -1,7 +1,7 @@
 """probeopt: asynchronous probe-based optimization on a process graph.
 
 An event-driven runtime (processes, bounded channels, non-blocking
-probes, watchdog deadlock detection) plus a Gaussian-process optimizer
+probes, deadlock detection) plus a Gaussian-process optimizer
 that drives a simulated-annealing QUBO solver for satellite observation
 scheduling, entirely through asynchronous message passing.
 """

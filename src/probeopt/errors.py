@@ -33,8 +33,9 @@ class CommandAfterStop(ProbeoptError):
 
 
 class RunAborted(ProbeoptError):
-    """Raised inside blocked channel operations when the watchdog tears a
-    run down. Internal control flow; run() converts it into a report."""
+    """Raised by a would-block channel op on a clock run, or inside blocked
+    ops when the watchdog tears a wall-clock run down. Internal control
+    flow; the driver converts it into a deadlock report."""
 
 
 class DimensionMismatch(ProbeoptError, ValueError):

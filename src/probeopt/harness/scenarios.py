@@ -6,10 +6,11 @@ Four scenarios over the same two-process graph:
   single-step evaluator. Completes: each round's request is answered
   before the optimizer next blocks.
 * ``sync-deadlock``: same graph, evaluator latency of two or more steps.
-  The optimizer blocks on a result that cannot arrive, the barrier round
-  never completes, and the watchdog reports the deadlock.
+  The optimizer blocks on a result that cannot arrive, and the run
+  reports the deadlock at that recv, at once.
 * ``async-probe``: free-running threads, the optimizer probes and sleeps
-  instead of blocking. Completes regardless of latency.
+  instead of blocking. Completes regardless of latency. The only scenario
+  on wall-clock time, so the only one the watchdog (``--watchdog-ms``) serves.
 * ``bo-qubo``: the full asynchronous loop over the satellite-scheduling
   QUBO, paced on a virtual clock so reruns are byte-identical, with
   per-iteration JSONL metrics and a summary report.
@@ -50,7 +51,8 @@ _DEFAULT_BUDGET = {
 }
 
 # Longest an asynchronous run may take before ``handle.wait`` raises
-# TimeoutError; the watchdog ends a stalled run long before this.
+# TimeoutError. The watchdog ends a stalled wall-clock run long before
+# this; a clock run reports a deadlock at the blocking op.
 RUN_TIMEOUT_S = 150.0
 
 # Evaluator service time in steps, (min, max) inclusive.
@@ -91,6 +93,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"--budget must be at least 1, got {self.budget}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {self.seed}")
+        if not 0.0 < self.watchdog_s < math.inf:
+            ms = self.watchdog_s * 1e3
+            raise ConfigError(f"--watchdog-ms must be positive and finite, got {ms:g}")
         # The virtual clock advances a process only by the time it sleeps:
         # a paced process that sleeps 0 keeps the floor and starves its peer.
         paced = self.scenario == "bo-qubo"

@@ -1,5 +1,5 @@
-"""Non-blocking optimizer process and its done-flag poller."""
+"""Non-blocking optimizer process."""
 
-from .loop import AsyncOptimizer, await_done
+from .loop import AsyncOptimizer
 
-__all__ = ["AsyncOptimizer", "await_done"]
+__all__ = ["AsyncOptimizer"]

@@ -18,11 +18,10 @@ candidate port so a peer evaluator knows to shut down.
 from __future__ import annotations
 
 import math
-import time
 from typing import Any, Optional
 
 from ..errors import ConfigError, Disconnected
-from ..runtime.process import Process, ProcessContext, RefPortHandle
+from ..runtime.process import Process, ProcessContext
 from ..runtime.tokens import Done, ParamVector, ResultTuple
 from ..bo.search import Observation
 
@@ -144,23 +143,3 @@ class AsyncOptimizer(Process):
         self.failure = reason
         ctx.emit("optimizer_failed", reason=reason)
         return True
-
-
-def await_done(
-    ref_port: RefPortHandle,
-    poll_interval: float = 0.005,
-    timeout: float = 30.0,
-) -> str:
-    """Poll a done flag without touching any channel.
-
-    Returns "finished" or "timed_out". The first read happens before any
-    sleep, so a flag that is already set is seen immediately, and a flag
-    that flips mid-wait is seen within one poll interval.
-    """
-    deadline = time.monotonic() + timeout
-    while True:
-        if ref_port.read():
-            return "finished"
-        if time.monotonic() >= deadline:
-            return "timed_out"
-        time.sleep(poll_interval)

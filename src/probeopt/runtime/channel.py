@@ -2,9 +2,10 @@
 
 A channel is the only way data moves between processes. ``send`` blocks
 while the buffer is full, ``recv`` blocks while it is empty, and ``probe``
-never blocks. All waiting is condition-variable based with a short wait
-timeout so an abort (watchdog teardown) is noticed promptly even if a
-notify is lost to a race.
+never blocks. Both check the closed peer before reporting a would-block
+op, which on a clock run the graph's hooks turn into the deadlock. All
+waiting is condition-variable based with a short wait timeout so an abort
+(watchdog teardown) is noticed promptly even if a notify is lost to a race.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class ChannelHooks:
     ``progress`` is called on every completed send/recv so a watchdog can
     distinguish a stalled run from a slow one. ``blocked``/``unblocked``
     maintain a table of who is parked on which port, used to build the
-    deadlock diagnostic.
+    deadlock diagnostic; ``blocked`` may raise instead, before the op waits.
     """
 
     def progress(self) -> None:  # pragma: no cover - trivial default
@@ -151,6 +152,8 @@ class Channel:
         """Dequeue the oldest token, blocking while the buffer is empty."""
         with self._cond:
             if not self._buf:
+                if self._producer_closed:
+                    raise Disconnected(f"{self.cid}: producer closed")
                 self._hooks.blocked(self.consumer_label, "recv", self.consumer_port)
                 try:
                     while not self._buf:

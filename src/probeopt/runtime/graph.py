@@ -9,9 +9,10 @@ Two drivers:
   ``ASYNC`` run is free-running on virtual time. ``SYNC_BARRIER`` is the
   same driver with every turn resting exactly one tick, so a barrier
   round is one tick of the clock: every live process steps once, in name
-  order (the clock's tie-break). A process that blocks inside its step
-  stalls the whole round, which is exactly how lockstep schedules
-  deadlock when one side waits on data the other has not produced yet.
+  order (the clock's tie-break). A process that would block inside its
+  step stalls the whole round for good, which is exactly how lockstep
+  schedules deadlock when one side waits on data the other has not
+  produced yet.
 
 Both drivers share one turn, which is the only place Run/Pause/Stop are
 handled, for every process: command check, then one step unless the
@@ -19,17 +20,23 @@ process is paused. Commands travel in a plain queue per process. A
 process leaves the run through ``finish`` on every exit path: Stop, its
 step returning True, a crash, the step limit or an abort.
 
-A watchdog thread monitors a global progress counter (sends, recvs,
-probes, issued commands, completed steps and paused turns all count: a
-paused process is waiting, not stalled). If nothing progresses for
-``watchdog_timeout`` seconds the run is declared deadlocked: blocked
-channel operations are woken with an abort, every thread unwinds, and the
-report carries a diagnostic naming which process was parked on which port.
+On a clock run the one driver steps every channel peer, so a send on a
+full channel or a recv on an empty one can never complete: the channel
+hooks raise RunAborted at that op, and the report names it. A clock run
+starts that one thread and no other, so only ``wait(timeout)`` bounds a
+step that never returns. On a wall-clock run a watchdog thread monitors
+a global progress counter (sends, recvs, probes, issued commands,
+completed steps and paused turns all count: a paused process is waiting,
+not stalled). If nothing progresses for ``watchdog_timeout`` seconds the
+run is declared deadlocked: blocked channel operations are woken with an
+abort, every thread unwinds, and the report carries a diagnostic naming
+which process was parked on which port.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from collections import deque
@@ -74,8 +81,8 @@ class RunLimits:
     def __post_init__(self) -> None:
         if self.max_steps <= 0:
             raise ConfigError("max_steps must be positive")
-        if self.watchdog_timeout <= 0:
-            raise ConfigError("watchdog_timeout must be positive")
+        if not 0 < self.watchdog_timeout < math.inf:
+            raise ConfigError("watchdog_timeout must be positive and finite")
 
 
 @dataclass
@@ -88,13 +95,19 @@ class RunReport:
     errors: dict[str, str] = field(default_factory=dict)
 
 
+def _describe_blocked(table: dict[str, tuple[str, str]]) -> str:
+    return "; ".join(f"{w} blocked in {op} on {port}" for w, (op, port) in sorted(table.items()))
+
+
 class _GraphHooks(ChannelHooks):
-    """Progress counter plus a table of who is blocked where."""
+    """Progress counter plus a table of who is blocked where. With a single
+    driver nothing can complete a would-block op: ``blocked`` raises instead."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._progress = 0
         self._blocked: dict[str, tuple[str, str]] = {}
+        self.single_driver = False
 
     def progress(self) -> None:
         with self._lock:
@@ -105,6 +118,8 @@ class _GraphHooks(ChannelHooks):
             return self._progress
 
     def blocked(self, who: str, op: str, port: str) -> None:
+        if self.single_driver:
+            raise RunAborted(_describe_blocked({who: (op, port)}))
         with self._lock:
             self._blocked[who] = (op, port)
 
@@ -170,10 +185,7 @@ class ProcessGraph:
         proc = self._procs[proc_name]
         if var_name not in proc.refs:
             raise ConfigError(f"{proc_name} exposes no ref {var_name!r}")
-        return RefPortHandle(
-            proc.refs[var_name],
-            lambda: self.is_terminated(proc_name),
-        )
+        return RefPortHandle(proc.refs[var_name])
 
     # -- control plane ------------------------------------------------------
 
@@ -240,7 +252,7 @@ class ProcessGraph:
 
 
 class _Run:
-    """One execution of a graph: driver threads, watchdog, report assembly."""
+    """One execution of a graph: driver threads, watchdog (wall clock only), report."""
 
     def __init__(
         self,
@@ -280,20 +292,22 @@ class _Run:
                 self.hooks.progress,
             )
         self.t_start = time.monotonic()
+        self.watchdog: Optional[threading.Thread] = None
         if isinstance(self.ts, VirtualClock):
+            self.hooks.single_driver = True
             # Register every participant before the driver asks for the floor.
             for proc in graph._order:
                 self.ts.register(proc.name)
             mains = [("paced-driver", self._paced_main, ())]
         else:
             mains = [(f"proc:{p.name}", self._async_main, (p,)) for p in graph._order]
+            self.watchdog = threading.Thread(target=self._watchdog_main, name="watchdog", daemon=True)
+            self.watchdog.start()
         threads = [
             threading.Thread(target=target, args=args, name=name, daemon=True)
             for name, target, args in mains
         ]
         self._live = len(threads)
-        self.watchdog = threading.Thread(target=self._watchdog_main, name="watchdog", daemon=True)
-        self.watchdog.start()
         for t in threads:
             t.start()
 
@@ -336,11 +350,8 @@ class _Run:
                 return
 
     def _describe_stall(self, timeout: float) -> str:
-        table = self.hooks.blocked_table()
-        if table:
-            parts = [f"{who} blocked in {op} on {port}" for who, (op, port) in sorted(table.items())]
-            detail = "; ".join(parts)
-        else:
+        detail = _describe_blocked(self.hooks.blocked_table())
+        if not detail:
             detail = "no process blocked on a port (stalled outside channel ops)"
         return f"no progress for {timeout:g}s: {detail}"
 
@@ -430,6 +441,7 @@ class _Run:
 
         This is the interleaving the clock defines: a process acts only
         while its (time, name) is the smallest, and its sleeps move it on.
+        A would-block channel op raises RunAborted: it is the deadlock.
         """
         clock = self.ts
         assert isinstance(clock, VirtualClock)
@@ -441,10 +453,7 @@ class _Run:
                 if not self._setup(proc):
                     clock.unregister(proc.name)
                     live.discard(proc.name)
-            while not self.aborted.is_set():
-                name = clock.floor()
-                if name is None:
-                    break
+            while (name := clock.floor()) is not None:
                 proc, ctx = self.graph._procs[name], self.ctxs[name]
                 clock.gate(name)
                 if ctx.steps >= self.limits.max_steps or self._turn(proc, ctx, paused):
@@ -460,8 +469,10 @@ class _Run:
                 if idle >= live:  # a whole pass stepped nothing
                     time.sleep(_IDLE_PASS_S)
                     idle.clear()
-        except RunAborted:
-            pass
+        except RunAborted as exc:
+            self.deadlock, self.diagnostic = True, str(exc)
+            log.warning("clock run deadlocked: %s", self.diagnostic)
+            self.recorder.emit("deadlock", diagnostic=self.diagnostic)
         finally:
             for proc in self.graph._order:
                 self._finish_proc(proc)
@@ -483,7 +494,8 @@ class _Run:
         if not self.finished.is_set():
             self.wall_time = time.monotonic() - self.t_start
             self.finished.set()
-        self.watchdog.join()
+        if self.watchdog is not None:
+            self.watchdog.join()
         return self.report()
 
     def report(self) -> RunReport:
@@ -505,12 +517,3 @@ class RunHandle:
 
     def wait(self, timeout: Optional[float] = None) -> RunReport:
         return self._run.wait(timeout)
-
-    @property
-    def aborted(self) -> bool:
-        return self._run.aborted.is_set()
-
-    @property
-    def finished(self) -> bool:
-        """True once every process in the run has terminated."""
-        return self._run.finished.is_set()

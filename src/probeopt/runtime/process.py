@@ -59,17 +59,12 @@ class RefVar:
 class RefPortHandle:
     """Reader-side view of another process's RefVar."""
 
-    def __init__(self, var: RefVar, stopped_fn: Callable[[], bool]) -> None:
+    def __init__(self, var: RefVar) -> None:
         self._var = var
-        self._stopped_fn = stopped_fn
 
     def read(self) -> Any:
         """Snapshot the current value. Valid even after the target stops."""
         return self._var.read()
-
-    @property
-    def target_stopped(self) -> bool:
-        return self._stopped_fn()
 
 
 class Process:

@@ -9,6 +9,8 @@ advances the sleeper's time, so on this clock a sleep ends the process's
 turn. A paced ``ASYNC`` run is free-running on this clock and therefore
 reproducible. A ``SYNC_BARRIER`` run always uses it, and every turn
 rests exactly one tick, so a barrier round is one tick in name order.
+A channel op that would block on this clock is reported as the deadlock
+at once; only a wall-clock run starts the progress watchdog.
 """
 
 from __future__ import annotations

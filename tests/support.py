@@ -8,6 +8,7 @@ than one implementation with itself.
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -225,3 +226,19 @@ def wire_standalone(proc: Process, capacity: int = 16):
     commands = deque()
     ctx = ProcessContext(proc, TimeSource(), recorder, commands, lambda: None)
     return ctx, channels, recorder, commands
+
+
+def await_done(ref_port, poll_interval: float = 0.005, timeout: float = 30.0) -> str:
+    """Poll a done flag without touching any channel.
+
+    Returns "finished" or "timed_out". The first read happens before any
+    sleep, so a flag that is already set is seen immediately, and a flag
+    that flips mid-wait is seen within one poll interval.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        if ref_port.read():
+            return "finished"
+        if time.monotonic() >= deadline:
+            return "timed_out"
+        time.sleep(poll_interval)

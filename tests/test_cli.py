@@ -28,6 +28,16 @@ def test_sync_deadlock_expected_outcome_exits_zero(capsys):
     assert "deadlock detected" in capsys.readouterr().out
 
 
+def test_sync_deadlock_is_reported_at_the_blocked_recv(tmp_path, capsys):
+    # Default --watchdog-ms: the barrier run has no watchdog to wait out.
+    rc = main(["run", "--scenario", "sync-deadlock", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert "optimizer blocked in recv on optimizer.result_in" in summary["deadlock_diagnostic"]
+    assert summary["wall_time"] < 0.1
+    assert "deadlock detected" in capsys.readouterr().out
+
+
 def test_missing_scenario_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run"])
@@ -162,6 +172,22 @@ def test_pacing_that_cannot_finish_exits_two_naming_the_flag(scenario, flags, na
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+def test_bad_watchdog_ms_exits_two_naming_the_flag(value, capsys):
+    # async-probe is the one scenario that runs the watchdog; a nan
+    # window used to pass validation and never fire.
+    rc = main(["run", "--scenario", "async-probe", "--budget", "2", "--watchdog-ms", value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --watchdog-ms") and err.count("\n") == 1
+
+
+def test_negative_seed_exits_two_naming_the_flag(capsys):
+    rc = main(["run", "--scenario", "bo-qubo", "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
 
 
 def test_async_probe_keeps_zero_sleep(capsys):

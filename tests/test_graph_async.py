@@ -189,10 +189,8 @@ def test_pause_longer_than_the_watchdog_is_not_a_deadlock(mode, clock):
     frozen = count.read()
     time.sleep(0.6)  # twice the watchdog window
     assert count.read() == frozen
-    assert not handle.aborted
     graph.issue_command("c", CommandKind.STOP)  # the command queue is still open
     report = handle.wait(5.0)
-    assert handle.finished
     assert not report.deadlock_detected and not report.errors
     assert graph.is_terminated("c")
 
@@ -321,15 +319,14 @@ def test_step_limit_exhaustion_is_finished_not_deadlocked():
     graph.add_process(_Ticker("ticker"))
     handle = graph.start(Mode.ASYNC, RunLimits(max_steps=50, watchdog_timeout=0.3))
     deadline = time.monotonic() + 5.0
-    while not handle.finished and time.monotonic() < deadline:
+    while not graph.is_terminated("ticker") and time.monotonic() < deadline:
         time.sleep(0.005)
-    assert handle.finished
+    assert graph.is_terminated("ticker")
     # Linger past the watchdog window before joining: a run that is over
     # must not be reported as stalled while the caller dawdles.
     time.sleep(0.7)
     report = handle.wait(5.0)
     assert not report.deadlock_detected
-    assert not handle.aborted
     assert report.steps_executed["ticker"] == 50
 
 
@@ -372,7 +369,6 @@ def test_paced_step_limit_exhaustion_is_finished_not_deadlocked():
     time.sleep(0.7)  # linger past the watchdog window before joining
     report = handle.wait(5.0)
     assert not report.deadlock_detected
-    assert not handle.aborted
     assert report.steps_executed == {"ticker": 50, "counter": 50}
 
 
@@ -404,19 +400,18 @@ class _ThreadSpy(Process):
         return ctx.steps >= 20
 
 
-def test_paced_run_starts_one_driver_thread_plus_watchdog():
+@pytest.mark.parametrize("mode", [Mode.ASYNC, Mode.SYNC_BARRIER], ids=["paced", "barrier"])
+def test_clock_run_starts_exactly_one_thread(mode):
+    """The driver steps every process; no watchdog runs beside it."""
     before = set(threading.enumerate())
     graph = ProcessGraph()
     spies = [graph.add_process(_ThreadSpy(name, before)) for name in ("a", "b", "c")]
     report = graph.start(
-        Mode.ASYNC, RunLimits(max_steps=1_000, watchdog_timeout=2.0), time_source=VirtualClock()
+        mode, RunLimits(max_steps=1_000, watchdog_timeout=2.0), time_source=VirtualClock()
     ).wait(10.0)
     assert not report.deadlock_detected and not report.errors
     (driver,) = set.union(*(spy.stepped_on for spy in spies))
-    new_threads = set.union(*(spy.new_threads for spy in spies))
-    assert len(new_threads) == 2
-    assert driver in new_threads
-    assert {t.name for t in new_threads} - {driver.name} == {"watchdog"}
+    assert set.union(*(spy.new_threads for spy in spies)) == {driver}
 
 
 class _Idle(Process):
@@ -444,3 +439,92 @@ def test_paced_process_blocked_in_recv_trips_watchdog():
     assert report.deadlock_detected
     assert "sink blocked in recv on sink.never" in report.deadlock_diagnostic
     assert graph.is_terminated("idle") and graph.is_terminated("sink")
+
+
+def _flood_into_deaf_sink(graph):
+    sender = graph.add_process(_FloodSender("sender", count=5))
+    sink = graph.add_process(_DeafSink("sink"))
+    graph.connect(sender.out_port("out"), sink.in_port("inbox"), capacity=4)
+    graph.connect(sender.out_port("aux"), sink.in_port("never"), capacity=4)
+
+
+def _idle_feeds_deaf_sink(graph):
+    idle = graph.add_process(_Idle("idle"))
+    sink = graph.add_process(_DeafSink("sink"))
+    graph.connect(idle.out_port("out"), sink.in_port("never"), capacity=4)
+
+
+@pytest.mark.parametrize(
+    "mode, build, expected",
+    [
+        (Mode.ASYNC, _flood_into_deaf_sink, "sender blocked in send on sender.out"),
+        (Mode.ASYNC, _idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
+        (Mode.SYNC_BARRIER, _idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
+    ],
+    ids=["paced-send-full", "paced-recv-empty", "barrier-recv-empty"],
+)
+def test_clock_deadlock_is_reported_at_the_blocking_op(mode, build, expected):
+    """No stall window: the op that would block is the deadlock."""
+    graph = ProcessGraph()
+    build(graph)
+    recorder = ListRecorder()
+    t0 = time.monotonic()
+    report = graph.start(
+        mode,
+        RunLimits(max_steps=10_000, watchdog_timeout=60.0),
+        time_source=VirtualClock(),
+        recorder=recorder,
+    ).wait(10.0)
+    assert time.monotonic() - t0 < 0.5
+    assert report.deadlock_detected
+    assert report.deadlock_diagnostic == expected
+    assert [e["diagnostic"] for e in recorder.events("deadlock")] == [expected]
+    assert not report.errors
+    assert all(graph.is_terminated(name) for name in report.steps_executed)
+
+
+class _OneShot(Process):
+    """Sends one token, then finishes."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.add_out_port("out")
+
+    def step(self, ctx):
+        ctx.send("out", Scalar(1.0))
+        return True
+
+
+class _Drain(Process):
+    """Receives until its producer is gone; every recv may find it empty."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.add_in_port("inp")
+        self.received = []
+
+    def step(self, ctx):
+        self.received.append(ctx.recv("inp").value)  # Disconnected ends the run
+        return False
+
+
+@pytest.mark.parametrize(
+    "mode, clock",
+    [(Mode.ASYNC, None), (Mode.ASYNC, VirtualClock), (Mode.SYNC_BARRIER, VirtualClock)],
+    ids=["threaded", "paced", "barrier"],
+)
+def test_recv_after_producer_finished_disconnects_not_deadlocks(mode, clock):
+    """A closed producer is checked before a would-block recv is reported."""
+    graph = ProcessGraph()
+    producer = graph.add_process(_OneShot("a"))
+    consumer = graph.add_process(_Drain("b"))
+    graph.connect(producer.out_port("out"), consumer.in_port("inp"), capacity=4)
+    report = graph.start(
+        mode,
+        RunLimits(max_steps=100, watchdog_timeout=2.0),
+        time_source=clock() if clock else None,
+    ).wait(10.0)
+    assert not report.deadlock_detected and report.deadlock_diagnostic is None
+    assert not report.errors
+    assert consumer.received == [1.0]
+    assert report.steps_executed == {"a": 1, "b": 2}

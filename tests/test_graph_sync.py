@@ -159,6 +159,12 @@ def test_empty_graph_and_bad_limits_rejected():
         RunLimits(watchdog_timeout=0.0)
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
+def test_run_limits_reject_a_watchdog_timeout_that_never_fires(timeout):
+    with pytest.raises(ConfigError, match="watchdog_timeout"):
+        RunLimits(watchdog_timeout=timeout)
+
+
 def test_max_steps_bounds_lockstep_run():
     graph = ProcessGraph()
     graph.add_process(_Ticker("a", 1_000_000))

@@ -8,17 +8,12 @@ import time
 import pytest
 
 from probeopt.errors import ConfigError
-from probeopt.optimizer.loop import (
-    AsyncOptimizer,
-    CANDIDATE_PORT,
-    RESULT_PORT,
-    await_done,
-)
+from probeopt.optimizer.loop import AsyncOptimizer, CANDIDATE_PORT, RESULT_PORT
 from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
 from probeopt.runtime.process import Process, RefPortHandle, RefVar
 from probeopt.runtime.timesource import VirtualClock
 from probeopt.runtime.tokens import CommandKind, Done, ParamVector, ResultTuple
-from support import Scalar, wire_standalone
+from support import Scalar, await_done, wire_standalone
 
 
 class _ScriptedSearch:
@@ -95,7 +90,7 @@ def test_at_most_one_recv_per_iteration():
 
 def test_finishes_after_budget_and_publishes_done():
     opt, search, ctx, ch, _, _ = _make_optimizer(budget=2)
-    done = RefPortHandle(opt.refs["done"], lambda: False)
+    done = RefPortHandle(opt.refs["done"])
     for k in range(2):
         assert opt.loop_step(ctx) is False  # suggests
         sent = ch[CANDIDATE_PORT].recv()
@@ -209,7 +204,6 @@ def test_pause_skips_probing_until_run():
     frozen = opt.probe_attempts
     time.sleep(0.6)  # twice the watchdog window
     assert opt.probe_attempts == frozen  # paused turns do not probe
-    assert not handle.aborted
     graph.issue_command("optimizer", CommandKind.RUN)
     assert _wait_until(lambda: opt.probe_attempts > frozen)
     graph.issue_command("optimizer", CommandKind.STOP)
@@ -254,7 +248,7 @@ def test_crashing_search_still_publishes_done(paced):
 
 def test_await_done_sees_flag_within_one_poll():
     var = RefVar(False)
-    handle = RefPortHandle(var, lambda: False)
+    handle = RefPortHandle(var)
     flip_at = []
 
     def flipper():
@@ -272,7 +266,7 @@ def test_await_done_sees_flag_within_one_poll():
 
 
 def test_await_done_times_out_when_flag_never_flips():
-    handle = RefPortHandle(RefVar(False), lambda: False)
+    handle = RefPortHandle(RefVar(False))
     t0 = time.monotonic()
     status = await_done(handle, poll_interval=0.005, timeout=0.08)
     assert status == "timed_out"
@@ -280,7 +274,7 @@ def test_await_done_times_out_when_flag_never_flips():
 
 
 def test_await_done_immediate_when_already_set():
-    handle = RefPortHandle(RefVar(True), lambda: True)
+    handle = RefPortHandle(RefVar(True))
     t0 = time.monotonic()
     assert await_done(handle, poll_interval=0.5, timeout=5.0) == "finished"
     assert time.monotonic() - t0 < 0.1  # no sleep before the first read

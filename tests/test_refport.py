@@ -70,9 +70,9 @@ def test_target_stopped_flag_and_last_value_persists():
     graph.add_process(_Flagger("p", flips=3))
     done = graph.ref_port("p", "done")
     value = graph.ref_port("p", "value")
-    assert not done.target_stopped
+    assert not graph.is_terminated("p")
     report = graph.run(Mode.ASYNC, RunLimits(max_steps=100, watchdog_timeout=2.0))
     assert not report.deadlock_detected
-    assert done.target_stopped
+    assert graph.is_terminated("p")
     assert done.read() is True  # last write outlives the process
     assert value.read() == (3, 3)
