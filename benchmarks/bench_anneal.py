@@ -32,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +72,8 @@ KERNELS = (("dense", dense), ("sparse", sweep))
 
 def kernel_inputs(problem, sweeps, seed):
     """(qubo, temps, uniforms, edge count), prepared as ``solve`` prepares them."""
-    tuned = problem.with_weights(w_penalty=W_PENALTY)
-    graph = build_conflict_graph(generate_geometry(tuned), tuned)
-    qubo = to_qubo(graph, tuned.qubo_weights)
+    graph = build_conflict_graph(generate_geometry(problem), problem)
+    qubo = to_qubo(graph, replace(problem.qubo_weights, w_penalty=W_PENALTY))
     temps = temperature_schedule(AnnealParams(sweeps=sweeps))
     uniforms = np.random.default_rng(seed).random((sweeps, graph.n))
     return qubo, temps, uniforms, len(graph.edges)

@@ -22,28 +22,24 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
 
 
 def expected_improvement(
-    mean: np.ndarray | float,
-    var: np.ndarray | float,
+    mean: np.ndarray,
+    var: np.ndarray,
     y_best: float,
     xi: float = 0.0,
-) -> np.ndarray | float:
+) -> np.ndarray:
     """EI(x) = (mu - y_best - xi) * Phi(z) + sigma * phi(z), z = (mu - y_best - xi) / sigma.
 
     At sigma = 0 this degenerates to the hinge max(mu - y_best - xi, 0).
     The result is clamped at zero so rounding can never produce a negative
     acquisition value.
     """
-    mean_arr = np.asarray(mean, dtype=float)
-    var_arr = np.asarray(var, dtype=float)
-    sigma = np.sqrt(np.maximum(var_arr, 0.0))
-    improve = mean_arr - y_best - xi
+    mean = np.asarray(mean, dtype=float)
+    sigma = np.sqrt(np.maximum(np.asarray(var, dtype=float), 0.0))
+    improve = mean - y_best - xi
     ei = np.maximum(improve, 0.0)  # sigma == 0 hinge
     positive = sigma > 0.0
     if np.any(positive):
         z = np.divide(improve, sigma, out=np.zeros_like(sigma), where=positive)
         phi = _INV_SQRT_2PI * np.exp(-0.5 * z**2)
         ei = np.where(positive, improve * _normal_cdf(z) + sigma * phi, ei)
-    ei = np.maximum(ei, 0.0)
-    if np.ndim(mean) == 0:
-        return float(ei)
-    return ei
+    return np.maximum(ei, 0.0)

@@ -1,9 +1,10 @@
 """Gaussian-process regression with a squared-exponential kernel.
 
-A fitted model carries the lower Cholesky factor ``L`` of the noisy Gram
-matrix and its inverse ``L^-1``. Both are built by bordering: each new
-observation appends one row to each, in O(n^2), so a search that adds
-one point at a time never refactors from scratch. Carrying ``L^-1`` turns
+A fitted model carries ``L^-1``, the inverse of the lower Cholesky factor
+``L`` of the noisy Gram matrix. It is built by bordering: each new
+observation appends one row, in O(n^2), so a search that adds one point
+at a time never refactors from scratch. Bordering needs only the new
+row of ``L``, which is computed and dropped. Carrying ``L^-1`` turns
 every triangular solve into a matrix product (``alpha = L^-T (L^-1 y)``,
 and prediction's ``v = L^-1 k*``), which keeps the module numpy-only.
 """
@@ -49,9 +50,7 @@ def kernel_matrix(xa: np.ndarray, xb: np.ndarray, hyper: GPHyper) -> np.ndarray:
 class GPModel:
     hyper: GPHyper
     train_x: np.ndarray  # (n, d)
-    train_y: np.ndarray  # (n,)
-    chol: np.ndarray  # lower-triangular L with L L^T = K + noise_var * I
-    chol_inv: np.ndarray  # L^-1, lower-triangular
+    chol_inv: np.ndarray  # L^-1, lower-triangular, with L L^T = K + noise_var * I
     alpha: np.ndarray  # (K + noise_var * I)^-1 y = L^-T L^-1 y
 
     @property
@@ -83,45 +82,31 @@ def gp_fit(
     ):
         raise ValueError("base model must share the hyperparameters and leading points")
     n = x.shape[0]
-    chol = np.zeros((n, n))
     chol_inv = np.zeros((n, n))
     if base is not None:
-        chol[:start, :start] = base.chol
         chol_inv[:start, :start] = base.chol_inv
     cols = kernel_matrix(x, x[start:], hyper)  # Gram columns of the new rows
     for i in range(start, n):
-        l = chol_inv[:i, :i] @ cols[:i, i - start]
+        l = chol_inv[:i, :i] @ cols[:i, i - start]  # row i of L, left of the diagonal
         d2 = cols[i, i - start] + hyper.noise_var - l @ l
         if not d2 > 0.0:
             raise NotPositiveDefinite(f"Gram matrix is not positive definite at row {i}")
         d = math.sqrt(d2)
-        chol[i, :i] = l
-        chol[i, i] = d
         chol_inv[i, :i] = -(l @ chol_inv[:i, :i]) / d
         chol_inv[i, i] = 1.0 / d
     alpha = chol_inv.T @ (chol_inv @ y)
-    return GPModel(hyper=hyper, train_x=x, train_y=y, chol=chol, chol_inv=chol_inv, alpha=alpha)
+    return GPModel(hyper=hyper, train_x=x, chol_inv=chol_inv, alpha=alpha)
 
 
 def gp_predict(model: GPModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance of the latent function at query points.
+    """Posterior mean and variance of the latent function at (m, d) query points.
 
-    Accepts one point (d,) or a batch (m, d); returns matching-shape mean
-    and variance arrays (scalars for a single point). Variance is clamped
-    at zero: the subtraction can go a hair negative in floating point.
+    Variance is clamped at zero: the subtraction can go a hair negative
+    in floating point.
     """
-    query = np.asarray(x, dtype=float)
-    single = query.ndim == 1
-    query = np.atleast_2d(query)
-    if query.shape[1] != model.train_x.shape[1]:
-        raise DimensionMismatch(
-            f"query dim {query.shape[1]} != train dim {model.train_x.shape[1]}"
-        )
-    kstar = kernel_matrix(model.train_x, query, model.hyper)  # (n, m)
+    kstar = kernel_matrix(model.train_x, x, model.hyper)  # (n, m)
     mean = kstar.T @ model.alpha
     v = model.chol_inv @ kstar
     var = model.hyper.signal_var - np.sum(v**2, axis=0)
     np.maximum(var, 0.0, out=var)
-    if single:
-        return float(mean[0]), float(var[0])
     return mean, var

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ProbeoptError
+from .errors import ConfigError, ProbeoptError
 from .harness.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 from .qubo.problem import SatelliteProblem
 
@@ -67,8 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_problem(path: Path) -> SatelliteProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SatelliteProblem.from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return SatelliteProblem.from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and ConfigError
+        raise ConfigError(f"--problem-json: {exc}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -91,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # An OSError subclass, but the input was fine: the run overran.
         print(f"error: run timed out: {exc}", file=sys.stderr)
         return 3
-    except (ProbeoptError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ProbeoptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     summary = result.summary

@@ -97,15 +97,13 @@ def evaluate_params(
     rng: np.random.Generator,
 ) -> int:
     """Score one (w_penalty, t_start) point: anneal, repair, count requests."""
-    w_penalty, t_start = float(x[0]), float(x[1])
-    tuned = problem.with_weights(w_penalty=w_penalty)
-    params = replace(solver, t_start=t_start)
+    weights = replace(problem.qubo_weights, w_penalty=float(x[0]))
+    params = replace(solver, t_start=float(x[1]))
     graph = conflict_graph(problem)
     if graph.n == 0:
         return 0
-    qubo = to_qubo(graph, tuned.qubo_weights)
-    result = solve(qubo, params, rng)
-    return decode(result.state, graph).score
+    qubo = to_qubo(graph, weights)
+    return decode(solve(qubo, params, rng), graph).score
 
 
 class SchedulingEvaluator(Process):

@@ -95,6 +95,8 @@ class ScenarioConfig:
             raise ConfigError(f"--budget must be at least 1, got {self.budget}")
         if self.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {self.seed}")
+        if self.sweeps < 1:
+            raise ConfigError(f"--sweeps must be at least 1, got {self.sweeps}")
         if not 0.0 < self.watchdog_s < math.inf:
             ms = self.watchdog_s * 1e3
             raise ConfigError(f"--watchdog-ms must be positive and finite, got {ms:g}")

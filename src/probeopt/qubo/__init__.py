@@ -1,14 +1,13 @@
 """Satellite scheduling as a QUBO, solved by simulated annealing."""
 
-from .anneal import AnnealParams, AnnealResult, solve, temperature_schedule
+from .anneal import AnnealParams, solve, temperature_schedule
 from .conflict import ConflictGraph, build_conflict_graph, visible_pairs
-from .model import ConflictQubo, energy, to_qubo
+from .model import ConflictQubo, to_qubo
 from .problem import Geometry, QuboWeights, SatelliteProblem, generate_geometry
 from .schedule import Schedule, decode, violated_edges
 
 __all__ = [
     "AnnealParams",
-    "AnnealResult",
     "ConflictGraph",
     "ConflictQubo",
     "Geometry",
@@ -17,7 +16,6 @@ __all__ = [
     "Schedule",
     "build_conflict_graph",
     "decode",
-    "energy",
     "generate_geometry",
     "solve",
     "temperature_schedule",

@@ -24,13 +24,6 @@ class AnnealParams:
             raise ConfigError("temperatures must satisfy t_start >= t_end > 0")
 
 
-@dataclass(frozen=True)
-class AnnealResult:
-    state: np.ndarray  # best configuration visited, int64 0/1
-    energy: float  # its energy
-    steps_taken: int  # flip attempts: sweeps times variables
-
-
 def temperature_schedule(params: AnnealParams) -> np.ndarray:
     """Geometric ladder from t_start down to t_end, one rung per sweep."""
     if params.sweeps == 1:
@@ -40,8 +33,8 @@ def temperature_schedule(params: AnnealParams) -> np.ndarray:
     return params.t_start * ratio**exponents
 
 
-def solve(qubo: ConflictQubo, params: AnnealParams, rng: np.random.Generator) -> AnnealResult:
-    """Anneal from the all-zeros state; return the best state visited.
+def solve(qubo: ConflictQubo, params: AnnealParams, rng: np.random.Generator) -> np.ndarray:
+    """Anneal from the all-zeros state; return the best state visited, int64 0/1.
 
     The accept rolls are the only randomness and are drawn from ``rng``
     up front, so a given generator state fully determines the result.
@@ -51,9 +44,5 @@ def solve(qubo: ConflictQubo, params: AnnealParams, rng: np.random.Generator) ->
     uniforms = rng.random((params.sweeps, n))
     state = np.zeros(n, dtype=np.int64)
     best_state = np.zeros(n, dtype=np.int64)
-    _, best_energy = sweep(qubo, temps, uniforms, state, best_state)
-    return AnnealResult(
-        state=best_state,
-        energy=float(best_energy),
-        steps_taken=params.sweeps * n,
-    )
+    sweep(qubo, temps, uniforms, state, best_state)
+    return best_state

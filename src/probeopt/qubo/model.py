@@ -5,8 +5,7 @@ carries +w_penalty off-diagonal. Minimizing x^T Q x therefore prefers
 large conflict-free selections whenever w_penalty > w_reward.
 
 This weighted independent-set form is the only QUBO the package builds,
-so it is stored sparsely: the two weights and each node's neighbours. The
-dense upper-triangular Q is built only on demand, by ``matrix``.
+so it is stored sparsely: the two weights and each node's neighbours.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from ..errors import DimensionMismatch, EmptyGraph, MalformedGraph
+from ..errors import EmptyGraph, MalformedGraph
 from .conflict import ConflictGraph
 from .problem import QuboWeights
 
@@ -27,16 +24,6 @@ class ConflictQubo:
     w_reward: float
     w_penalty: float
     neighbours: tuple[tuple[int, ...], ...]  # per node, sorted, no self or repeat
-
-    def matrix(self) -> np.ndarray:
-        """The dense (n, n) upper-triangular Q this QUBO stands for."""
-        q = np.zeros((self.n, self.n), dtype=np.float64)
-        np.fill_diagonal(q, -self.w_reward)
-        for i, row in enumerate(self.neighbours):
-            for j in row:
-                if j > i:
-                    q[i, j] = self.w_penalty
-        return q
 
 
 def to_qubo(graph: ConflictGraph, weights: QuboWeights) -> ConflictQubo:
@@ -71,11 +58,3 @@ def _neighbours(graph: ConflictGraph) -> tuple[tuple[int, ...], ...]:
         neighbours[i].add(j)
         neighbours[j].add(i)
     return tuple(tuple(sorted(row)) for row in neighbours)
-
-
-def energy(qubo: ConflictQubo, state: np.ndarray) -> float:
-    """x^T Q x with Q upper triangular: each pair counted exactly once."""
-    x = np.asarray(state, dtype=np.float64).ravel()
-    if x.shape[0] != qubo.n:
-        raise DimensionMismatch(f"state has {x.shape[0]} bits, QUBO has {qubo.n}")
-    return float(x @ qubo.matrix() @ x)

@@ -9,7 +9,7 @@ within half the view height of its track.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -50,36 +50,41 @@ class SatelliteProblem:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
-    def with_weights(self, **kwargs: float) -> "SatelliteProblem":
-        return replace(self, qubo_weights=replace(self.qubo_weights, **kwargs))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_satellites": self.n_satellites,
-            "n_requests": self.n_requests,
-            "view_height": self.view_height,
-            "turn_speed": self.turn_speed,
-            "seed": self.seed,
-            "qubo_weights": {
-                "w_reward": self.qubo_weights.w_reward,
-                "w_penalty": self.qubo_weights.w_penalty,
-            },
-        }
-
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SatelliteProblem":
+    def from_dict(cls, data: Any) -> "SatelliteProblem":
+        """The problem a parsed JSON document describes.
+
+        The document comes from outside the program, so a missing field,
+        a field that is not a number and a document that is not an
+        object each raise ConfigError naming what is wrong.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(f"expected a JSON object, got {type(data).__name__}")
         weights = data.get("qubo_weights", {})
+        if not isinstance(weights, dict):
+            raise ConfigError(f"field qubo_weights must be an object, got {weights!r}")
+        weights = {"w_reward": 1.0, "w_penalty": 2.0, **weights}
         return cls(
-            n_satellites=int(data["n_satellites"]),
-            n_requests=int(data["n_requests"]),
-            view_height=float(data["view_height"]),
-            turn_speed=float(data["turn_speed"]),
-            seed=int(data["seed"]),
+            n_satellites=_field(data, "n_satellites", int),
+            n_requests=_field(data, "n_requests", int),
+            view_height=_field(data, "view_height", float),
+            turn_speed=_field(data, "turn_speed", float),
+            seed=_field(data, "seed", int),
             qubo_weights=QuboWeights(
-                w_reward=float(weights.get("w_reward", 1.0)),
-                w_penalty=float(weights.get("w_penalty", 2.0)),
+                w_reward=_field(weights, "w_reward", float, "qubo_weights."),
+                w_penalty=_field(weights, "w_penalty", float, "qubo_weights."),
             ),
         )
+
+
+def _field(data: dict[str, Any], key: str, kind: type, where: str = "") -> Any:
+    try:
+        return kind(data[key])
+    except KeyError:
+        raise ConfigError(f"missing field {where}{key}") from None
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"field {where}{key} must be {what}, got {data[key]!r}") from None
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,6 @@ class RunLimits:
 @dataclass
 class RunReport:
     steps_executed: dict[str, int]
-    probe_counts: dict[str, int]
     deadlock_detected: bool
     deadlock_diagnostic: Optional[str]
     wall_time: float
@@ -501,7 +500,6 @@ class _Run:
     def report(self) -> RunReport:
         return RunReport(
             steps_executed={name: ctx.steps for name, ctx in self.ctxs.items()},
-            probe_counts={name: ctx.probes for name, ctx in self.ctxs.items()},
             deadlock_detected=self.deadlock,
             deadlock_diagnostic=self.diagnostic,
             wall_time=self.wall_time,

@@ -150,7 +150,6 @@ class ProcessContext:
         self._commands = commands
         self._probe_progress = probe_progress
         self.steps = 0
-        self.probes = 0
 
     @property
     def name(self) -> str:
@@ -173,7 +172,6 @@ class ProcessContext:
 
     def probe(self, port_name: str) -> ProbeResult:
         result = self._channel(port_name, Direction.IN).probe()
-        self.probes += 1
         self._probe_progress()
         return result
 

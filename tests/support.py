@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from probeopt.errors import DimensionMismatch
 from probeopt.qubo.conflict import ConflictGraph
 from probeopt.qubo.model import to_qubo
 from probeopt.qubo.problem import QuboWeights
@@ -70,6 +71,25 @@ def ei_reference(mean, var, y_best, xi):
 # -- QUBO oracles ---------------------------------------------------------------
 
 
+def qubo_matrix(qubo):
+    """The dense (n, n) upper-triangular Q a ``ConflictQubo`` stands for."""
+    q = np.zeros((qubo.n, qubo.n), dtype=np.float64)
+    np.fill_diagonal(q, -qubo.w_reward)
+    for i, row in enumerate(qubo.neighbours):
+        for j in row:
+            if j > i:
+                q[i, j] = qubo.w_penalty
+    return q
+
+
+def energy(qubo, state):
+    """x^T Q x with Q upper triangular: each pair counted exactly once."""
+    x = np.asarray(state, dtype=np.float64).ravel()
+    if x.shape[0] != qubo.n:
+        raise DimensionMismatch(f"state has {x.shape[0]} bits, QUBO has {qubo.n}")
+    return float(x @ qubo_matrix(qubo) @ x)
+
+
 def qubo_on(n, edges, w_reward=1.0, w_penalty=2.0):
     """to_qubo of the graph on n nodes with the given edges."""
     graph = ConflictGraph(nodes=tuple((0, k) for k in range(n)), edges=tuple(edges))
@@ -121,7 +141,7 @@ def all_state_energies(q):
 def sweep_operands(qubo):
     """(diagonal, symmetric couplings with a zeroed diagonal) of the dense Q,
     as ``dense_sweep_reference`` takes them."""
-    q = qubo.matrix()
+    q = qubo_matrix(qubo)
     coupling = q + q.T
     np.fill_diagonal(coupling, 0.0)
     return np.ascontiguousarray(np.diag(q)), coupling
@@ -190,6 +210,21 @@ def brute_force_conflict_edges(geometry, problem):
     return tuple(nodes), tuple(sorted(edges))
 
 
+def problem_to_dict(problem):
+    """The JSON document ``SatelliteProblem.from_dict`` reads back as ``problem``."""
+    return {
+        "n_satellites": problem.n_satellites,
+        "n_requests": problem.n_requests,
+        "view_height": problem.view_height,
+        "turn_speed": problem.turn_speed,
+        "seed": problem.seed,
+        "qubo_weights": {
+            "w_reward": problem.qubo_weights.w_reward,
+            "w_penalty": problem.qubo_weights.w_penalty,
+        },
+    }
+
+
 def conflict_free(edges, bits):
     return all(not (bits[i] and bits[j]) for i, j in edges)
 
@@ -210,12 +245,13 @@ class Scalar:
     value: float
 
 
-def wire_standalone(proc: Process, capacity: int = 16):
+def wire_standalone(proc: Process, capacity: int = 16, on_probe=lambda: None):
     """Attach bare channels to a process's ports and build it a context.
 
     Returns (ctx, channels, recorder, commands): channels maps port name ->
     Channel, commands is the context's command queue. The far end of each
-    channel is the test itself.
+    channel is the test itself. ``on_probe`` is called on every
+    ``ctx.probe``.
     """
     channels = {}
     for name, spec in proc.ports.items():
@@ -224,7 +260,7 @@ def wire_standalone(proc: Process, capacity: int = 16):
         channels[name] = ch
     recorder = ListRecorder()
     commands = deque()
-    ctx = ProcessContext(proc, TimeSource(), recorder, commands, lambda: None)
+    ctx = ProcessContext(proc, TimeSource(), recorder, commands, on_probe)
     return ctx, channels, recorder, commands
 
 

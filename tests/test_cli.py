@@ -12,6 +12,7 @@ import pytest
 import probeopt.cli as cli
 from probeopt.cli import main
 from probeopt.harness.scenarios import default_problem
+from support import problem_to_dict
 
 
 def test_sync_ok_exits_zero(capsys):
@@ -81,7 +82,7 @@ def test_cli_flag_beats_env(monkeypatch, tmp_path):
 
 
 def test_outputs_and_problem_json(tmp_path):
-    problem = default_problem().to_dict()
+    problem = problem_to_dict(default_problem())
     problem["n_requests"] = 6
     problem_path = tmp_path / "instance.json"
     problem_path.write_text(json.dumps(problem), encoding="utf-8")
@@ -122,6 +123,35 @@ def test_bad_problem_file_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+_NON_NUMERIC = {**problem_to_dict(default_problem()), "n_requests": "many"}
+_MISSING = {k: v for k, v in problem_to_dict(default_problem()).items() if k != "n_requests"}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (_NON_NUMERIC, "--problem-json: field n_requests must be an integer, got 'many'"),
+        ([1, 2], "--problem-json: expected a JSON object, got list"),
+        (_MISSING, "--problem-json: missing field n_requests"),
+    ],
+    ids=["non-numeric-field", "non-object", "missing-field"],
+)
+def test_malformed_problem_json_exits_two_naming_flag_and_field(document, message, tmp_path, capsys):
+    # Each used to escape as a traceback (exit 1) or print only "'n_requests'".
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    rc = main(["run", "--scenario", "bo-qubo", "--problem-json", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bad_sweeps_exits_two_naming_the_flag(value, capsys):
+    rc = main(["run", "--scenario", "bo-qubo", "--sweeps", value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --sweeps must be at least 1, got {value}\n"
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "probeopt.cli", "run", "--scenario", "sync-ok", "--budget", "1"],
@@ -134,7 +164,7 @@ def test_module_invocation_smoke():
 
 
 def test_non_finite_weights_in_problem_file_exit_two(tmp_path, capsys):
-    problem = default_problem().to_dict()
+    problem = problem_to_dict(default_problem())
     problem["qubo_weights"]["w_penalty"] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(problem), encoding="utf-8")  # json writes a bare NaN

@@ -39,9 +39,9 @@ def test_cholesky_factor_reconstructs_gram():
         x, y, hyper = _random_model(rng)
         model = gp_fit(x, y, hyper)
         gram = kernel_matrix(x, x, hyper) + hyper.noise_var * np.eye(len(y))
-        assert np.allclose(model.chol @ model.chol.T, gram, atol=1e-8)
-        assert np.allclose(model.chol_inv @ model.chol, np.eye(len(y)), atol=1e-8)
-        assert np.array_equal(model.chol, np.tril(model.chol))
+        chol = np.linalg.inv(model.chol_inv)
+        assert np.allclose(chol @ chol.T, gram, atol=1e-8)
+        assert np.allclose(model.chol_inv @ gram @ model.chol_inv.T, np.eye(len(y)), atol=1e-8)
         assert np.array_equal(model.chol_inv, np.tril(model.chol_inv))
 
 
@@ -64,10 +64,9 @@ def test_interpolation_at_training_points():
     x, y, hyper = _random_model(rng, n_max=8)
     model = gp_fit(x, y, hyper)
     sigma_n = np.sqrt(hyper.noise_var)
-    for i in range(len(y)):
-        mean, var = gp_predict(model, x[i])
-        assert abs(mean - y[i]) <= 3 * sigma_n + 1e-6
-        assert var >= 0.0
+    mean, var = gp_predict(model, x)
+    assert np.all(np.abs(mean - y) <= 3 * sigma_n + 1e-6)
+    assert np.all(var >= 0.0)
 
 
 def test_prior_reversion_far_from_data():
@@ -75,9 +74,9 @@ def test_prior_reversion_far_from_data():
     x = np.array([[0.0], [0.1], [0.2]])
     y = np.array([1.0, -1.0, 0.5])
     model = gp_fit(x, y, hyper)
-    mean, var = gp_predict(model, np.array([50.0]))
-    assert abs(mean) < 1e-6
-    assert abs(var - hyper.signal_var) < 1e-6
+    mean, var = gp_predict(model, np.array([[50.0]]))
+    assert abs(mean[0]) < 1e-6
+    assert abs(var[0] - hyper.signal_var) < 1e-6
 
 
 def test_variance_clamped_nonnegative():
@@ -111,12 +110,13 @@ def test_extending_row_by_row_matches_fresh_fit_and_dense_oracle():
         if n not in (1, 2, 10, 50, 120, 250):
             continue
         fresh = gp_fit(x[:n], y[:n], hyper)
-        for field in ("chol", "chol_inv", "alpha"):
+        for field in ("chol_inv", "alpha"):
             grown, refit = getattr(model, field), getattr(fresh, field)
             assert np.abs(grown - refit).max() <= 1e-9 * np.abs(refit).max()
         gram = kernel_matrix(x[:n], x[:n], hyper) + hyper.noise_var * np.eye(n)
-        assert np.allclose(model.chol @ model.chol.T, gram, atol=1e-12)
-        assert np.allclose(model.chol_inv @ model.chol, np.eye(n), atol=1e-10)
+        chol = np.linalg.inv(model.chol_inv)
+        assert np.allclose(chol @ chol.T, gram, atol=1e-12)
+        assert np.allclose(model.chol_inv @ gram @ model.chol_inv.T, np.eye(n), atol=1e-10)
         mean, var = gp_predict(model, queries)
         oracle_mean, oracle_var = dense_gp_predict(
             x[:n], y[:n], hyper.signal_var, hyper.length_scale, hyper.noise_var, queries
@@ -149,7 +149,7 @@ def test_dimension_mismatches_raise():
     hyper = GPHyper()
     model = gp_fit(np.array([[0.0, 0.0]]), np.array([1.0]), hyper)
     with pytest.raises(DimensionMismatch):
-        gp_predict(model, np.array([1.0, 2.0, 3.0]))
+        gp_predict(model, np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(DimensionMismatch):
         gp_fit(np.zeros((3, 2)), np.zeros(2), hyper)
     with pytest.raises(DimensionMismatch):

@@ -13,7 +13,7 @@ from probeopt.qubo.problem import (
     SatelliteProblem,
     generate_geometry,
 )
-from support import brute_force_conflict_edges
+from support import brute_force_conflict_edges, problem_to_dict
 
 
 def _problem(**kw):
@@ -114,7 +114,7 @@ def test_conflict_graph_matches_bruteforce_oracle():
 
 
 def test_serialization_roundtrip():
-    p = _problem(seed=99).with_weights(w_penalty=3.5)
-    data = p.to_dict()
+    p = _problem(seed=99, qubo_weights=QuboWeights(w_penalty=3.5))
+    data = problem_to_dict(p)
     assert data["qubo_weights"] == {"w_reward": 1.0, "w_penalty": 3.5}
     assert SatelliteProblem.from_dict(data) == p
