@@ -2,9 +2,10 @@
 
 Four scenarios over the same two-process graph:
 
-* ``sync-ok``: lockstep barrier execution with a blocking optimizer and a
-  single-step evaluator. Completes: each round's request is answered
-  before the optimizer next blocks.
+* ``sync-ok``: lockstep execution (a virtual clock on which every turn
+  rests one tick) with a blocking optimizer and a single-step evaluator.
+  Completes: each round's request is answered before the optimizer next
+  blocks.
 * ``sync-deadlock``: same graph, evaluator latency of two or more steps.
   The optimizer blocks on a result that cannot arrive, and the run
   reports the deadlock at that recv, at once.
@@ -35,7 +36,7 @@ from ..evaluator import (
 from ..optimizer.loop import AsyncOptimizer, CANDIDATE_PORT, RESULT_PORT
 from ..qubo.anneal import AnnealParams
 from ..qubo.problem import SatelliteProblem
-from ..runtime.graph import Mode, ProcessGraph, RunLimits, RunReport
+from ..runtime.graph import ProcessGraph, RunLimits, RunReport
 from ..runtime.process import Process, ProcessContext
 from ..runtime.timesource import VirtualClock
 from ..runtime.tokens import ParamVector, ResultTuple
@@ -50,9 +51,9 @@ _DEFAULT_BUDGET = {
     "bo-qubo": 25,
 }
 
-# Longest an asynchronous run may take before ``handle.wait`` raises
-# TimeoutError. The watchdog ends a stalled wall-clock run long before
-# this; a clock run reports a deadlock at the blocking op.
+# Longest a run may take before ``handle.wait`` raises TimeoutError. The
+# watchdog ends a stalled wall-clock run long before this; a clock run
+# reports a deadlock at the blocking op.
 RUN_TIMEOUT_S = 150.0
 
 # Evaluator service time in steps, (min, max) inclusive.
@@ -195,16 +196,22 @@ def _build_graph(
 # -- scenario runners -----------------------------------------------------------
 
 
+def _start_and_wait(
+    cfg: ScenarioConfig, graph: ProcessGraph, clock: Optional[VirtualClock], recorder: ListRecorder
+) -> RunReport:
+    """Every scenario's run: on ``clock``, or wall time when it is None."""
+    limits = RunLimits(max_steps=cfg.max_steps, watchdog_timeout=cfg.watchdog_s)
+    return graph.start(limits, time_source=clock, recorder=recorder).wait(RUN_TIMEOUT_S)
+
+
 def _run_sync(cfg: ScenarioConfig, expect_deadlock: bool) -> ScenarioResult:
     search = BayesSearch(search_space(), seed=cfg.seed)
     optimizer = BlockingOptimizer("optimizer", search, cfg.effective_budget)
-    graph, _ = _build_graph(cfg, optimizer, step_duration=0.0)
-    recorder = ListRecorder()
-    report = graph.run(
-        Mode.SYNC_BARRIER,
-        RunLimits(max_steps=cfg.max_steps, watchdog_timeout=cfg.watchdog_s),
-        recorder=recorder,
-    )
+    # Lockstep: both rest one tick per turn, so each tick of the clock
+    # steps both, in name order.
+    optimizer.step_interval = 1.0
+    graph, _ = _build_graph(cfg, optimizer, step_duration=1.0)
+    report = _start_and_wait(cfg, graph, VirtualClock(), ListRecorder())
     completed = optimizer.completed
     if expect_deadlock:
         ok = report.deadlock_detected and completed < cfg.effective_budget
@@ -230,14 +237,7 @@ def _run_async(cfg: ScenarioConfig, paced: bool) -> ScenarioResult:
     )
     graph, evaluator = _build_graph(cfg, optimizer, step_duration=cfg.step_ms / 1000.0)
     recorder = ListRecorder()
-    clock = VirtualClock() if paced else None
-    handle = graph.start(
-        Mode.ASYNC,
-        RunLimits(max_steps=cfg.max_steps, watchdog_timeout=cfg.watchdog_s),
-        time_source=clock,
-        recorder=recorder,
-    )
-    report = handle.wait(RUN_TIMEOUT_S)
+    report = _start_and_wait(cfg, graph, VirtualClock() if paced else None, recorder)
     completed = optimizer.completed
     ok = (
         graph.ref_port("optimizer", "done").read()

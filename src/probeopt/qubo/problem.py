@@ -55,8 +55,9 @@ class SatelliteProblem:
         """The problem a parsed JSON document describes.
 
         The document comes from outside the program, so a missing field,
-        a field that is not a number and a document that is not an
-        object each raise ConfigError naming what is wrong.
+        a field that is not a number (or not an integer, where one is
+        due), a boolean and a document that is not an object each raise
+        ConfigError naming what is wrong.
         """
         if not isinstance(data, dict):
             raise ConfigError(f"expected a JSON object, got {type(data).__name__}")
@@ -79,12 +80,18 @@ class SatelliteProblem:
 
 def _field(data: dict[str, Any], key: str, kind: type, where: str = "") -> Any:
     try:
-        return kind(data[key])
+        value = data[key]
     except KeyError:
         raise ConfigError(f"missing field {where}{key}") from None
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"field {where}{key} must be {what}, got {data[key]!r}") from None
+    # Check the JSON type: int() would truncate 6.9, and take true as 1.
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, allowed) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"field {where}{key} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)

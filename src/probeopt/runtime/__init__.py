@@ -1,7 +1,7 @@
-"""Event-driven process graph: channels, probes, barrier and async modes."""
+"""Event-driven process graph: channels, probes, and a driver the time source picks."""
 
 from .channel import Channel, ChannelHooks, ProbeResult
-from .graph import Mode, ProcessGraph, RunHandle, RunLimits, RunReport
+from .graph import ProcessGraph, RunHandle, RunLimits, RunReport
 from .process import Direction, PortSpec, Process, ProcessContext, RefPortHandle, RefVar
 from .timesource import TimeSource, VirtualClock
 from .tokens import CommandKind, Done, ParamVector, ResultTuple, Token
@@ -14,7 +14,6 @@ __all__ = [
     "Direction",
     "Done",
     "ListRecorder",
-    "Mode",
     "ParamVector",
     "PortSpec",
     "ProbeResult",

@@ -3,7 +3,7 @@
 A channel is the only way data moves between processes. ``send`` blocks
 while the buffer is full, ``recv`` blocks while it is empty, and ``probe``
 never blocks. Both check the closed peer before reporting a would-block
-op, which on a clock run the graph's hooks turn into the deadlock. All
+op, which on a clock run the hooks turn into the deadlock. All
 waiting is condition-variable based with a short wait timeout so an abort
 (watchdog teardown) is noticed promptly even if a notify is lost to a race.
 """
@@ -38,23 +38,48 @@ class ProbeResult:
         return self.count == 0
 
 
+def _describe_blocked(table: dict[str, tuple[str, str]]) -> str:
+    return "; ".join(f"{w} blocked in {op} on {port}" for w, (op, port) in sorted(table.items()))
+
+
 class ChannelHooks:
-    """Observation points the graph wires into every channel.
+    """What the channels of one run report: progress, and who is blocked where.
 
     ``progress`` is called on every completed send/recv so a watchdog can
     distinguish a stalled run from a slow one. ``blocked``/``unblocked``
     maintain a table of who is parked on which port, used to build the
-    deadlock diagnostic; ``blocked`` may raise instead, before the op waits.
+    deadlock diagnostic. With ``single_driver`` set nothing can complete
+    a would-block op, so ``blocked`` raises RunAborted before the op waits.
     """
 
-    def progress(self) -> None:  # pragma: no cover - trivial default
-        pass
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._progress = 0
+        self._blocked: dict[str, tuple[str, str]] = {}
+        self.single_driver = False
 
-    def blocked(self, who: str, op: str, port: str) -> None:  # pragma: no cover
-        pass
+    def progress(self) -> None:
+        with self._lock:
+            self._progress += 1
 
-    def unblocked(self, who: str) -> None:  # pragma: no cover
-        pass
+    def progress_count(self) -> int:
+        with self._lock:
+            return self._progress
+
+    def blocked(self, who: str, op: str, port: str) -> None:
+        if self.single_driver:
+            raise RunAborted(_describe_blocked({who: (op, port)}))
+        with self._lock:
+            self._blocked[who] = (op, port)
+
+    def unblocked(self, who: str) -> None:
+        with self._lock:
+            self._blocked.pop(who, None)
+
+    def describe_blocked(self) -> str:
+        """``"<who> blocked in <op> on <port>"`` per parked process, by name."""
+        with self._lock:
+            return _describe_blocked(self._blocked)
 
 
 class Channel:

@@ -1,18 +1,18 @@
 """Process graph construction and execution.
 
-Two drivers:
+``ProcessGraph.start`` starts every run, and ``RunHandle.wait(timeout)``
+joins it. The time source picks the driver:
 
-* On wall-clock time (``ASYNC`` with a ``TimeSource``) every process has
+* On wall-clock time (a ``TimeSource``, the default) every process has
   its own thread and runs free.
 * On a ``VirtualClock`` one driver thread steps every process, giving
-  each turn to the process that holds the clock's floor. A paced
-  ``ASYNC`` run is free-running on virtual time. ``SYNC_BARRIER`` is the
-  same driver with every turn resting exactly one tick, so a barrier
-  round is one tick of the clock: every live process steps once, in name
-  order (the clock's tie-break). A process that would block inside its
-  step stalls the whole round for good, which is exactly how lockstep
-  schedules deadlock when one side waits on data the other has not
-  produced yet.
+  each turn to the process that holds the clock's floor, so the run is
+  reproducible. Lockstep is this driver with every process resting one
+  tick per turn (``step_interval = 1.0``): each tick of the clock then
+  steps every live process once, in name order (the clock's tie-break).
+  A process that would block inside its step stalls the whole round for
+  good, which is exactly how lockstep schedules deadlock when one side
+  waits on data the other has not produced yet.
 
 Both drivers share one turn, which is the only place Run/Pause/Stop are
 handled, for every process: command check, then one step unless the
@@ -41,7 +41,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from ..errors import (
@@ -68,11 +67,6 @@ _PAUSE_POLL_S = 0.005
 _IDLE_PASS_S = 0.0005
 
 
-class Mode(Enum):
-    SYNC_BARRIER = "sync_barrier"
-    ASYNC = "async"
-
-
 @dataclass(frozen=True)
 class RunLimits:
     max_steps: int = 100_000
@@ -94,50 +88,13 @@ class RunReport:
     errors: dict[str, str] = field(default_factory=dict)
 
 
-def _describe_blocked(table: dict[str, tuple[str, str]]) -> str:
-    return "; ".join(f"{w} blocked in {op} on {port}" for w, (op, port) in sorted(table.items()))
-
-
-class _GraphHooks(ChannelHooks):
-    """Progress counter plus a table of who is blocked where. With a single
-    driver nothing can complete a would-block op: ``blocked`` raises instead."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._progress = 0
-        self._blocked: dict[str, tuple[str, str]] = {}
-        self.single_driver = False
-
-    def progress(self) -> None:
-        with self._lock:
-            self._progress += 1
-
-    def progress_count(self) -> int:
-        with self._lock:
-            return self._progress
-
-    def blocked(self, who: str, op: str, port: str) -> None:
-        if self.single_driver:
-            raise RunAborted(_describe_blocked({who: (op, port)}))
-        with self._lock:
-            self._blocked[who] = (op, port)
-
-    def unblocked(self, who: str) -> None:
-        with self._lock:
-            self._blocked.pop(who, None)
-
-    def blocked_table(self) -> dict[str, tuple[str, str]]:
-        with self._lock:
-            return dict(self._blocked)
-
-
 class ProcessGraph:
     def __init__(self) -> None:
         self._procs: dict[str, Process] = {}
         self._order: list[Process] = []
         self._channels: list[Channel] = []
         self._commands: dict[str, deque[CommandKind]] = {}
-        self._hooks = _GraphHooks()
+        self._hooks = ChannelHooks()
         self._last_command: dict[str, CommandKind] = {}
         self._terminated: set[str] = set()
         self._state_lock = threading.Lock()
@@ -206,35 +163,23 @@ class ProcessGraph:
 
     def start(
         self,
-        mode: Mode,
         limits: RunLimits = RunLimits(),
         time_source: Optional[TimeSource] = None,
         recorder: Optional[Recorder] = None,
     ) -> "RunHandle":
+        """Start the one run of this graph; its handle's ``wait`` joins it.
+
+        A ``VirtualClock`` gets the one-thread driver; any other time
+        source, wall-clock time by default, one thread per process.
+        """
         if not self._procs:
             raise ConfigError("graph has no processes")
         if self._started:
             raise ConfigError("graph already started")
-        if mode is Mode.SYNC_BARRIER:
-            if time_source is None:
-                time_source = VirtualClock()
-            elif not isinstance(time_source, VirtualClock):
-                raise ConfigError("a barrier run needs a VirtualClock time source")
         self._started = True
-        ts = time_source or TimeSource()
-        rec = recorder or Recorder()
-        run = _Run(self, mode, limits, ts, rec)
+        run = _Run(self, limits, time_source or TimeSource(), recorder or Recorder())
         run.start()
         return RunHandle(run)
-
-    def run(
-        self,
-        mode: Mode,
-        limits: RunLimits = RunLimits(),
-        time_source: Optional[TimeSource] = None,
-        recorder: Optional[Recorder] = None,
-    ) -> RunReport:
-        return self.start(mode, limits, time_source, recorder).wait()
 
     # -- internals shared with _Run ------------------------------------------
 
@@ -256,13 +201,11 @@ class _Run:
     def __init__(
         self,
         graph: ProcessGraph,
-        mode: Mode,
         limits: RunLimits,
         time_source: TimeSource,
         recorder: Recorder,
     ) -> None:
         self.graph = graph
-        self.mode = mode
         self.limits = limits
         self.ts = time_source
         self.recorder = recorder
@@ -349,7 +292,7 @@ class _Run:
                 return
 
     def _describe_stall(self, timeout: float) -> str:
-        detail = _describe_blocked(self.hooks.blocked_table())
+        detail = self.hooks.describe_blocked()
         if not detail:
             detail = "no process blocked on a port (stalled outside channel ops)"
         return f"no progress for {timeout:g}s: {detail}"
@@ -399,9 +342,7 @@ class _Run:
         return finished
 
     def _rest(self, proc: Process, paused: set[str]) -> float:
-        """How long a process sleeps after a turn: one tick in a barrier run."""
-        if self.mode is Mode.SYNC_BARRIER:
-            return 1.0
+        """How long a process sleeps after a turn."""
         if proc.name in paused:
             return max(proc.step_interval, _PAUSE_POLL_S)
         return proc.step_interval
@@ -436,7 +377,7 @@ class _Run:
             self._main_exited()
 
     def _paced_main(self) -> None:
-        """Paced or barrier: every turn goes to the clock's floor holder.
+        """Clock run: every turn goes to the clock's floor holder.
 
         This is the interleaving the clock defines: a process acts only
         while its (time, name) is the smallest, and its sleeps move it on.
@@ -495,9 +436,6 @@ class _Run:
             self.finished.set()
         if self.watchdog is not None:
             self.watchdog.join()
-        return self.report()
-
-    def report(self) -> RunReport:
         return RunReport(
             steps_executed={name: ctx.steps for name, ctx in self.ctxs.items()},
             deadlock_detected=self.deadlock,

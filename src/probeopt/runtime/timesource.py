@@ -6,9 +6,9 @@ wall-clock sleeps with per-process logical times: the graph then runs
 every process on one driver thread and gives each turn to the process
 that holds the floor, the smallest (time, name) pair. A sleep only
 advances the sleeper's time, so on this clock a sleep ends the process's
-turn. A paced ``ASYNC`` run is free-running on this clock and therefore
-reproducible. A ``SYNC_BARRIER`` run always uses it, and every turn
-rests exactly one tick, so a barrier round is one tick in name order.
+turn, and a run on this clock is reproducible. When every process rests
+one tick per turn (``step_interval = 1.0``) the run is lockstep: each
+tick steps every live process once, in name order.
 A channel op that would block on this clock is reported as the deadlock
 at once; only a wall-clock run starts the progress watchdog.
 """

@@ -245,6 +245,13 @@ class Scalar:
     value: float
 
 
+def lockstep(*procs):
+    """Rest each process one tick per turn. On a ``VirtualClock`` every
+    tick then steps each live process once, in name order."""
+    for proc in procs:
+        proc.step_interval = 1.0
+
+
 def wire_standalone(proc: Process, capacity: int = 16, on_probe=lambda: None):
     """Attach bare channels to a process's ports and build it a context.
 

@@ -36,7 +36,7 @@ from probeopt.qubo.conflict import build_conflict_graph
 from probeopt.qubo.model import to_qubo
 from probeopt.qubo.problem import QuboWeights, SatelliteProblem, generate_geometry
 from probeopt.runtime.channel import Channel
-from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
+from probeopt.runtime.graph import ProcessGraph, RunLimits
 from probeopt.runtime.tokens import CommandKind
 from probeopt.errors import Disconnected
 from support import (
@@ -134,7 +134,7 @@ def test_2_done_handshake(capsys):
             observer = threading.Thread(target=observe)
             watcher.start()
             observer.start()
-            report = graph.start(Mode.ASYNC, RunLimits(watchdog_timeout=2.0)).wait(30.0)
+            report = graph.start(RunLimits(watchdog_timeout=2.0)).wait(30.0)
             watcher.join(5.0)
             observer.join(5.0)
             assert not report.deadlock_detected and not report.errors
@@ -149,7 +149,7 @@ def test_2_done_handshake(capsys):
                 seed, budget=50, latency=(3, 6), step_s=0.005, sleep_s=0.010
             )
             ref = graph.ref_port("optimizer", "done")
-            handle = graph.start(Mode.ASYNC, RunLimits(watchdog_timeout=2.0))
+            handle = graph.start(RunLimits(watchdog_timeout=2.0))
             deadline = time.monotonic() + 10.0
             while optimizer.completed < 2 and time.monotonic() < deadline:
                 time.sleep(0.001)

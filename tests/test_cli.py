@@ -123,8 +123,9 @@ def test_bad_problem_file_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
-_NON_NUMERIC = {**problem_to_dict(default_problem()), "n_requests": "many"}
-_MISSING = {k: v for k, v in problem_to_dict(default_problem()).items() if k != "n_requests"}
+_DEFAULT_DOC = problem_to_dict(default_problem())
+_NON_NUMERIC = {**_DEFAULT_DOC, "n_requests": "many"}
+_MISSING = {k: v for k, v in _DEFAULT_DOC.items() if k != "n_requests"}
 
 
 @pytest.mark.parametrize(
@@ -133,11 +134,28 @@ _MISSING = {k: v for k, v in problem_to_dict(default_problem()).items() if k != 
         (_NON_NUMERIC, "--problem-json: field n_requests must be an integer, got 'many'"),
         ([1, 2], "--problem-json: expected a JSON object, got list"),
         (_MISSING, "--problem-json: missing field n_requests"),
+        (
+            {**_DEFAULT_DOC, "n_requests": 6.9},
+            "--problem-json: field n_requests must be an integer, got 6.9",
+        ),
+        ({**_DEFAULT_DOC, "seed": True}, "--problem-json: field seed must be an integer, got True"),
+        (
+            {**_DEFAULT_DOC, "view_height": True},
+            "--problem-json: field view_height must be a number, got True",
+        ),
     ],
-    ids=["non-numeric-field", "non-object", "missing-field"],
+    ids=[
+        "non-numeric-field",
+        "non-object",
+        "missing-field",
+        "fractional-integer",
+        "boolean-integer",
+        "boolean-number",
+    ],
 )
 def test_malformed_problem_json_exits_two_naming_flag_and_field(document, message, tmp_path, capsys):
-    # Each used to escape as a traceback (exit 1) or print only "'n_requests'".
+    # Exit 2 with one line naming the flag and the field: never a traceback,
+    # and never a value truncated (6.9 -> 6, true -> 1) into another instance.
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     rc = main(["run", "--scenario", "bo-qubo", "--problem-json", str(path)])

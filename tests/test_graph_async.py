@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from probeopt.errors import CommandAfterStop, UnknownProcess
-from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
+from probeopt.runtime.graph import ProcessGraph, RunLimits
 from probeopt.runtime.process import Process
 from probeopt.runtime.timesource import VirtualClock
 from probeopt.runtime.tokens import CommandKind
 from probeopt.runtime.trace import ListRecorder
-from support import Scalar
+from support import Scalar, lockstep
 
 
 class _ProbingCaller(Process):
@@ -85,7 +85,7 @@ def _async_pair(seed, rounds=5):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_probing_client_never_deadlocks(seed):
     graph, caller = _async_pair(seed)
-    report = graph.run(Mode.ASYNC, RunLimits(max_steps=100_000, watchdog_timeout=2.0))
+    report = graph.start(RunLimits(max_steps=100_000, watchdog_timeout=2.0)).wait(30.0)
     assert not report.deadlock_detected
     assert caller.completed == 5
     assert not report.errors
@@ -130,7 +130,7 @@ def test_watchdog_catches_blocked_sender_and_names_both_ports():
     graph.connect(sender.out_port("aux"), sink.in_port("never"), capacity=4)
     # The sink ignores its inbox and waits on "aux" traffic that never comes,
     # so the sender jams on the full inbox: mutual silence, zero progress.
-    report = graph.run(Mode.ASYNC, RunLimits(max_steps=10_000, watchdog_timeout=0.4))
+    report = graph.start(RunLimits(max_steps=10_000, watchdog_timeout=0.4)).wait(30.0)
     assert report.deadlock_detected
     assert "sender" in report.deadlock_diagnostic and "send" in report.deadlock_diagnostic
     assert "sink" in report.deadlock_diagnostic and "recv" in report.deadlock_diagnostic
@@ -153,7 +153,7 @@ def test_pause_freezes_steps_and_run_resumes():
     graph = ProcessGraph()
     graph.add_process(_Counter("c"))
     count = graph.ref_port("c", "count")
-    handle = graph.start(Mode.ASYNC, RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
+    handle = graph.start(RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
     time.sleep(0.05)
     graph.issue_command("c", CommandKind.PAUSE)
     time.sleep(0.05)  # let the pause land
@@ -169,17 +169,18 @@ def test_pause_freezes_steps_and_run_resumes():
 
 
 @pytest.mark.parametrize(
-    "mode, clock",
-    [(Mode.ASYNC, None), (Mode.ASYNC, VirtualClock), (Mode.SYNC_BARRIER, None)],
+    "clock, tick",
+    [(None, False), (VirtualClock, False), (VirtualClock, True)],
     ids=["threaded", "paced", "barrier"],
 )
-def test_pause_longer_than_the_watchdog_is_not_a_deadlock(mode, clock):
+def test_pause_longer_than_the_watchdog_is_not_a_deadlock(clock, tick):
     """A paused process is waiting, not stalled, even when it is the only one."""
     graph = ProcessGraph()
-    graph.add_process(_Counter("c"))
+    counter = graph.add_process(_Counter("c"))
+    if tick:
+        lockstep(counter)
     count = graph.ref_port("c", "count")
     handle = graph.start(
-        mode,
         RunLimits(max_steps=10_000_000, watchdog_timeout=0.3),
         time_source=clock() if clock else None,
     )
@@ -202,19 +203,15 @@ class _CpuClockSpy(_Counter):
         self.cpu_clock = time.pthread_getcpuclockid(threading.get_ident())
 
 
-@pytest.mark.parametrize(
-    "mode, clock",
-    [(Mode.ASYNC, VirtualClock), (Mode.SYNC_BARRIER, None)],
-    ids=["paced", "barrier"],
-)
-def test_paused_single_driver_does_not_spin(mode, clock):
+@pytest.mark.parametrize("tick", [False, True], ids=["paced", "barrier"])
+def test_paused_single_driver_does_not_spin(tick):
     """While every process is paused the driver thread sleeps wall time."""
     graph = ProcessGraph()
     spy = graph.add_process(_CpuClockSpy("c"))
+    if tick:
+        lockstep(spy)
     handle = graph.start(
-        mode,
-        RunLimits(max_steps=10_000_000, watchdog_timeout=5.0),
-        time_source=clock() if clock else None,
+        RunLimits(max_steps=10_000_000, watchdog_timeout=5.0), time_source=VirtualClock()
     )
     time.sleep(0.05)
     graph.issue_command("c", CommandKind.PAUSE)
@@ -231,7 +228,7 @@ def test_paused_single_driver_does_not_spin(mode, clock):
 def test_stop_is_prompt_and_terminal():
     graph = ProcessGraph()
     graph.add_process(_Counter("c"))
-    handle = graph.start(Mode.ASYNC, RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
+    handle = graph.start(RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
     time.sleep(0.03)
     t0 = time.monotonic()
     graph.issue_command("c", CommandKind.STOP)
@@ -261,7 +258,7 @@ class _Crasher(Process):
 def test_crashed_process_is_reported_not_hung():
     graph = ProcessGraph()
     graph.add_process(_Crasher("bad"))
-    report = graph.run(Mode.ASYNC, RunLimits(max_steps=100, watchdog_timeout=2.0))
+    report = graph.start(RunLimits(max_steps=100, watchdog_timeout=2.0)).wait(30.0)
     assert "bad" in report.errors
     assert "boom" in report.errors["bad"]
 
@@ -270,7 +267,7 @@ def test_probe_stays_fast_under_contention():
     """A probe must never block, even while both endpoints hammer the channel."""
     graph, caller = _async_pair(seed=9, rounds=50)
     req = caller.out_port("req").channel
-    handle = graph.start(Mode.ASYNC, RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
+    handle = graph.start(RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
     worst = 0.0
     for _ in range(300):
         t0 = time.perf_counter()
@@ -286,12 +283,11 @@ def _paced_run(seed):
     graph, caller = _async_pair(seed, rounds=6)
     recorder = ListRecorder()
     clock = VirtualClock()
-    report = graph.run(
-        Mode.ASYNC,
+    report = graph.start(
         RunLimits(max_steps=100_000, watchdog_timeout=2.0),
         time_source=clock,
         recorder=recorder,
-    )
+    ).wait(30.0)
     assert not report.deadlock_detected
     return [(e["kind"], e.get("k", e.get("value"))) for e in recorder.events()]
 
@@ -317,7 +313,7 @@ class _Ticker(Process):
 def test_step_limit_exhaustion_is_finished_not_deadlocked():
     graph = ProcessGraph()
     graph.add_process(_Ticker("ticker"))
-    handle = graph.start(Mode.ASYNC, RunLimits(max_steps=50, watchdog_timeout=0.3))
+    handle = graph.start(RunLimits(max_steps=50, watchdog_timeout=0.3))
     deadline = time.monotonic() + 5.0
     while not graph.is_terminated("ticker") and time.monotonic() < deadline:
         time.sleep(0.005)
@@ -339,7 +335,7 @@ def test_paced_pause_run_and_stop_from_outside():
     graph.add_process(_Counter("d"))
     c, d = graph.ref_port("c", "count"), graph.ref_port("d", "count")
     handle = graph.start(
-        Mode.ASYNC, RunLimits(max_steps=10_000_000, watchdog_timeout=5.0), time_source=VirtualClock()
+        RunLimits(max_steps=10_000_000, watchdog_timeout=5.0), time_source=VirtualClock()
     )
     time.sleep(0.05)
     graph.issue_command("c", CommandKind.PAUSE)
@@ -364,7 +360,7 @@ def test_paced_step_limit_exhaustion_is_finished_not_deadlocked():
     graph.add_process(_Ticker("ticker"))
     graph.add_process(_Counter("counter"))
     handle = graph.start(
-        Mode.ASYNC, RunLimits(max_steps=50, watchdog_timeout=0.3), time_source=VirtualClock()
+        RunLimits(max_steps=50, watchdog_timeout=0.3), time_source=VirtualClock()
     )
     time.sleep(0.7)  # linger past the watchdog window before joining
     report = handle.wait(5.0)
@@ -377,7 +373,7 @@ def test_paced_crash_is_reported_and_others_run_on():
     graph.add_process(_Crasher("bad"))
     graph.add_process(_Ticker("ticker"))
     report = graph.start(
-        Mode.ASYNC, RunLimits(max_steps=100, watchdog_timeout=2.0), time_source=VirtualClock()
+        RunLimits(max_steps=100, watchdog_timeout=2.0), time_source=VirtualClock()
     ).wait(10.0)
     assert "boom" in report.errors["bad"]
     assert report.steps_executed["ticker"] == 100
@@ -400,14 +396,16 @@ class _ThreadSpy(Process):
         return ctx.steps >= 20
 
 
-@pytest.mark.parametrize("mode", [Mode.ASYNC, Mode.SYNC_BARRIER], ids=["paced", "barrier"])
-def test_clock_run_starts_exactly_one_thread(mode):
+@pytest.mark.parametrize("tick", [False, True], ids=["paced", "barrier"])
+def test_clock_run_starts_exactly_one_thread(tick):
     """The driver steps every process; no watchdog runs beside it."""
     before = set(threading.enumerate())
     graph = ProcessGraph()
     spies = [graph.add_process(_ThreadSpy(name, before)) for name in ("a", "b", "c")]
+    if tick:
+        lockstep(*spies)
     report = graph.start(
-        mode, RunLimits(max_steps=1_000, watchdog_timeout=2.0), time_source=VirtualClock()
+        RunLimits(max_steps=1_000, watchdog_timeout=2.0), time_source=VirtualClock()
     ).wait(10.0)
     assert not report.deadlock_detected and not report.errors
     (driver,) = set.union(*(spy.stepped_on for spy in spies))
@@ -426,14 +424,14 @@ class _Idle(Process):
         return False
 
 
-def test_paced_process_blocked_in_recv_trips_watchdog():
+def test_paced_process_blocked_in_recv_is_reported_at_the_op():
     graph = ProcessGraph()
     idle = graph.add_process(_Idle("idle"))
     sink = graph.add_process(_DeafSink("sink"))
     graph.connect(idle.out_port("out"), sink.in_port("never"), capacity=4)
     t0 = time.monotonic()
     report = graph.start(
-        Mode.ASYNC, RunLimits(max_steps=10_000, watchdog_timeout=0.4), time_source=VirtualClock()
+        RunLimits(max_steps=10_000, watchdog_timeout=0.4), time_source=VirtualClock()
     ).wait(10.0)
     assert time.monotonic() - t0 < 3.0
     assert report.deadlock_detected
@@ -452,25 +450,29 @@ def _idle_feeds_deaf_sink(graph):
     idle = graph.add_process(_Idle("idle"))
     sink = graph.add_process(_DeafSink("sink"))
     graph.connect(idle.out_port("out"), sink.in_port("never"), capacity=4)
+    return idle, sink
+
+
+def _lockstep_idle_feeds_deaf_sink(graph):
+    lockstep(*_idle_feeds_deaf_sink(graph))
 
 
 @pytest.mark.parametrize(
-    "mode, build, expected",
+    "build, expected",
     [
-        (Mode.ASYNC, _flood_into_deaf_sink, "sender blocked in send on sender.out"),
-        (Mode.ASYNC, _idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
-        (Mode.SYNC_BARRIER, _idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
+        (_flood_into_deaf_sink, "sender blocked in send on sender.out"),
+        (_idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
+        (_lockstep_idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
     ],
     ids=["paced-send-full", "paced-recv-empty", "barrier-recv-empty"],
 )
-def test_clock_deadlock_is_reported_at_the_blocking_op(mode, build, expected):
+def test_clock_deadlock_is_reported_at_the_blocking_op(build, expected):
     """No stall window: the op that would block is the deadlock."""
     graph = ProcessGraph()
     build(graph)
     recorder = ListRecorder()
     t0 = time.monotonic()
     report = graph.start(
-        mode,
         RunLimits(max_steps=10_000, watchdog_timeout=60.0),
         time_source=VirtualClock(),
         recorder=recorder,
@@ -509,18 +511,19 @@ class _Drain(Process):
 
 
 @pytest.mark.parametrize(
-    "mode, clock",
-    [(Mode.ASYNC, None), (Mode.ASYNC, VirtualClock), (Mode.SYNC_BARRIER, VirtualClock)],
+    "clock, tick",
+    [(None, False), (VirtualClock, False), (VirtualClock, True)],
     ids=["threaded", "paced", "barrier"],
 )
-def test_recv_after_producer_finished_disconnects_not_deadlocks(mode, clock):
+def test_recv_after_producer_finished_disconnects_not_deadlocks(clock, tick):
     """A closed producer is checked before a would-block recv is reported."""
     graph = ProcessGraph()
     producer = graph.add_process(_OneShot("a"))
     consumer = graph.add_process(_Drain("b"))
+    if tick:
+        lockstep(producer, consumer)
     graph.connect(producer.out_port("out"), consumer.in_port("inp"), capacity=4)
     report = graph.start(
-        mode,
         RunLimits(max_steps=100, watchdog_timeout=2.0),
         time_source=clock() if clock else None,
     ).wait(10.0)

@@ -1,16 +1,16 @@
-"""Lockstep-mode behavior: round-robin stepping, deadlock detection."""
+"""Lockstep runs (a VirtualClock, one tick per turn): round-robin stepping, deadlock detection."""
 
 from __future__ import annotations
 
 import pytest
 
 from probeopt.errors import ConfigError
-from probeopt.runtime.graph import Mode, ProcessGraph, RunLimits
+from probeopt.runtime.graph import ProcessGraph, RunLimits
 from probeopt.runtime.process import Process
-from probeopt.runtime.timesource import TimeSource, VirtualClock
+from probeopt.runtime.timesource import VirtualClock
 from probeopt.runtime.tokens import CommandKind
 from probeopt.runtime.trace import ListRecorder
-from support import Scalar
+from support import Scalar, lockstep
 
 
 class _PingPongCaller(Process):
@@ -70,12 +70,17 @@ def _pingpong_graph(latency, rounds=3, responder_first=False):
         graph.add_process(proc)
     graph.connect(caller.out_port("req"), responder.in_port("req"), capacity=4)
     graph.connect(responder.out_port("resp"), caller.in_port("resp"), capacity=4)
+    lockstep(caller, responder)
     return graph, caller
+
+
+def _run_lockstep(graph, limits, recorder=None):
+    return graph.start(limits, time_source=VirtualClock(), recorder=recorder).wait(30.0)
 
 
 def test_lockstep_completes_with_single_step_latency():
     graph, caller = _pingpong_graph(latency=1)
-    report = graph.run(Mode.SYNC_BARRIER, RunLimits(max_steps=1000, watchdog_timeout=1.0))
+    report = _run_lockstep(graph, RunLimits(max_steps=1000, watchdog_timeout=1.0))
     assert not report.deadlock_detected
     assert caller.completed == 3
 
@@ -83,7 +88,7 @@ def test_lockstep_completes_with_single_step_latency():
 @pytest.mark.parametrize("latency", [2, 3, 5])
 def test_lockstep_deadlocks_when_latency_exceeds_one(latency):
     graph, caller = _pingpong_graph(latency=latency)
-    report = graph.run(Mode.SYNC_BARRIER, RunLimits(max_steps=100_000, watchdog_timeout=0.3))
+    report = _run_lockstep(graph, RunLimits(max_steps=100_000, watchdog_timeout=0.3))
     assert report.deadlock_detected
     assert caller.completed == 0
     # Diagnostic names the stuck process and the empty port it blocks on.
@@ -96,20 +101,18 @@ def test_lockstep_deadlocks_when_latency_exceeds_one(latency):
 def test_lockstep_outcome_ignores_registration_order(latency):
     """Responder registered first: a round still runs in name order."""
     graph, caller = _pingpong_graph(latency=latency, responder_first=True)
-    report = graph.run(Mode.SYNC_BARRIER, RunLimits(max_steps=100_000, watchdog_timeout=0.3))
+    report = _run_lockstep(graph, RunLimits(max_steps=100_000, watchdog_timeout=0.3))
     assert report.deadlock_detected == (latency > 1)
     assert caller.completed == (3 if latency == 1 else 0)
 
 
-def test_barrier_accepts_a_virtual_clock_and_rejects_wall_time():
+def test_barrier_accepts_a_virtual_clock():
     graph, caller = _pingpong_graph(latency=1)
-    with pytest.raises(ConfigError):
-        graph.start(Mode.SYNC_BARRIER, time_source=TimeSource())
-    report = graph.run(
-        Mode.SYNC_BARRIER, RunLimits(max_steps=1000, watchdog_timeout=1.0), VirtualClock()
-    )
+    clock = VirtualClock()
+    report = graph.start(RunLimits(max_steps=1000, watchdog_timeout=1.0), clock).wait(30.0)
     assert not report.deadlock_detected
     assert caller.completed == 3
+    assert clock.floor() is None  # every process left the clock it was given
 
 
 class _Ticker(Process):
@@ -128,10 +131,9 @@ def test_barrier_keeps_step_counters_within_one():
     b = _Ticker("b", 40)
     graph.add_process(a)
     graph.add_process(b)
+    lockstep(a, b)
     recorder = ListRecorder()
-    report = graph.run(
-        Mode.SYNC_BARRIER, RunLimits(max_steps=100, watchdog_timeout=1.0), recorder=recorder
-    )
+    report = _run_lockstep(graph, RunLimits(max_steps=100, watchdog_timeout=1.0), recorder)
     assert not report.deadlock_detected
     counts = {"a": 0, "b": 0}
     for event in recorder.events("tick"):
@@ -144,15 +146,16 @@ def test_stop_command_terminates_process_in_lockstep():
     graph = ProcessGraph()
     a = _Ticker("a", 1_000_000)
     graph.add_process(a)
+    lockstep(a)
     graph.issue_command("a", CommandKind.STOP)
-    report = graph.run(Mode.SYNC_BARRIER, RunLimits(max_steps=100_000, watchdog_timeout=1.0))
+    report = _run_lockstep(graph, RunLimits(max_steps=100_000, watchdog_timeout=1.0))
     assert not report.deadlock_detected
     assert report.steps_executed["a"] == 0  # stopped before its first step
 
 
 def test_empty_graph_and_bad_limits_rejected():
     with pytest.raises(ConfigError):
-        ProcessGraph().run(Mode.SYNC_BARRIER)
+        ProcessGraph().start()
     with pytest.raises(ConfigError):
         RunLimits(max_steps=0)
     with pytest.raises(ConfigError):
@@ -167,6 +170,6 @@ def test_run_limits_reject_a_watchdog_timeout_that_never_fires(timeout):
 
 def test_max_steps_bounds_lockstep_run():
     graph = ProcessGraph()
-    graph.add_process(_Ticker("a", 1_000_000))
-    report = graph.run(Mode.SYNC_BARRIER, RunLimits(max_steps=25, watchdog_timeout=5.0))
+    lockstep(graph.add_process(_Ticker("a", 1_000_000)))
+    report = _run_lockstep(graph, RunLimits(max_steps=25, watchdog_timeout=5.0))
     assert report.steps_executed["a"] == 25
