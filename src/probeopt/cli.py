@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Every flag can also be set through the environment with a PROBEOPT_
-prefix (dashes become underscores, e.g. --watchdog-ms -> PROBEOPT_WATCHDOG_MS).
+prefix (dashes become underscores, e.g. --sleep-ms -> PROBEOPT_SLEEP_MS).
 Explicit flags win over the environment; the environment wins over
 defaults.
 """
@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env("budget"),
         help="evaluations to complete (scenario default if omitted)",
     )
-    run_p.add_argument("--watchdog-ms", type=float, default=_env("watchdog-ms") or 2000.0)
     run_p.add_argument("--sleep-ms", type=float, default=_env("sleep-ms") or 10.0)
     run_p.add_argument("--step-ms", type=float, default=_env("step-ms") or 5.0)
     run_p.add_argument("--sweeps", type=int, default=_env("sweeps") or 200)
@@ -81,7 +80,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenario=args.scenario,
             seed=int(args.seed),
             budget=None if args.budget is None else int(args.budget),
-            watchdog_s=float(args.watchdog_ms) / 1000.0,
             sleep_ms=float(args.sleep_ms),
             step_ms=float(args.step_ms),
             sweeps=int(args.sweeps),

@@ -33,8 +33,8 @@ class CommandAfterStop(ProbeoptError):
 
 
 class RunAborted(ProbeoptError):
-    """Raised by a would-block channel op on a clock run, or inside blocked
-    ops when the watchdog tears a wall-clock run down. Internal control
+    """Raised by a channel op that would block inside a graph: one driver
+    steps every process, so no peer can complete it. Internal control
     flow; the driver converts it into a deadlock report."""
 
 

@@ -9,9 +9,9 @@ Four scenarios over the same two-process graph:
 * ``sync-deadlock``: same graph, evaluator latency of two or more steps.
   The optimizer blocks on a result that cannot arrive, and the run
   reports the deadlock at that recv, at once.
-* ``async-probe``: free-running threads, the optimizer probes and sleeps
-  instead of blocking. Completes regardless of latency. The only scenario
-  on wall-clock time, so the only one the watchdog (``--watchdog-ms``) serves.
+* ``async-probe``: wall-clock time, on which the driver sleeps until
+  each process is due; the optimizer probes and sleeps instead of
+  blocking. Completes regardless of latency.
 * ``bo-qubo``: the full asynchronous loop over the satellite-scheduling
   QUBO, paced on a virtual clock so reruns are byte-identical, with
   per-iteration JSONL metrics and a summary report.
@@ -51,9 +51,9 @@ _DEFAULT_BUDGET = {
     "bo-qubo": 25,
 }
 
-# Longest a run may take before ``handle.wait`` raises TimeoutError. The
-# watchdog ends a stalled wall-clock run long before this; a clock run
-# reports a deadlock at the blocking op.
+# Longest a run may take before ``handle.wait`` raises TimeoutError. A
+# would-block channel op is reported as the deadlock at once, so this
+# bounds only a step that never returns.
 RUN_TIMEOUT_S = 150.0
 
 # Evaluator service time in steps, (min, max) inclusive.
@@ -80,7 +80,6 @@ class ScenarioConfig:
     scenario: str
     seed: int = 7
     budget: Optional[int] = None
-    watchdog_s: float = 2.0
     sleep_ms: float = 10.0
     step_ms: float = 5.0
     sweeps: int = 200
@@ -98,9 +97,6 @@ class ScenarioConfig:
             raise ConfigError(f"--seed must be nonnegative, got {self.seed}")
         if self.sweeps < 1:
             raise ConfigError(f"--sweeps must be at least 1, got {self.sweeps}")
-        if not 0.0 < self.watchdog_s < math.inf:
-            ms = self.watchdog_s * 1e3
-            raise ConfigError(f"--watchdog-ms must be positive and finite, got {ms:g}")
         # The virtual clock advances a process only by the time it sleeps:
         # a paced process that sleeps 0 keeps the floor and starves its peer.
         paced = self.scenario == "bo-qubo"
@@ -200,7 +196,7 @@ def _start_and_wait(
     cfg: ScenarioConfig, graph: ProcessGraph, clock: Optional[VirtualClock], recorder: ListRecorder
 ) -> RunReport:
     """Every scenario's run: on ``clock``, or wall time when it is None."""
-    limits = RunLimits(max_steps=cfg.max_steps, watchdog_timeout=cfg.watchdog_s)
+    limits = RunLimits(max_steps=cfg.max_steps)
     return graph.start(limits, time_source=clock, recorder=recorder).wait(RUN_TIMEOUT_S)
 
 

@@ -45,8 +45,9 @@ class SatelliteProblem:
             raise ConfigError("need at least one satellite and one request")
         if not 0.0 < self.view_height <= 1.0:
             raise ConfigError("view_height must lie in (0, 1]")
-        if self.turn_speed <= 0:
-            raise ConfigError("turn_speed must be positive")
+        # NaN or inf would compare false against every slew: no conflicts.
+        if not 0 < self.turn_speed < math.inf:
+            raise ConfigError(f"turn_speed must be positive and finite, got {self.turn_speed}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 

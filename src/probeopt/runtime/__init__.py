@@ -1,6 +1,6 @@
-"""Event-driven process graph: channels, probes, and a driver the time source picks."""
+"""Event-driven process graph: channels, probes, and one driver whose turns the time source paces."""
 
-from .channel import Channel, ChannelHooks, ProbeResult
+from .channel import Channel, ProbeResult
 from .graph import ProcessGraph, RunHandle, RunLimits, RunReport
 from .process import Direction, PortSpec, Process, ProcessContext, RefPortHandle, RefVar
 from .timesource import TimeSource, VirtualClock
@@ -9,7 +9,6 @@ from .trace import ListRecorder, Recorder
 
 __all__ = [
     "Channel",
-    "ChannelHooks",
     "CommandKind",
     "Direction",
     "Done",

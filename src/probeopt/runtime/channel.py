@@ -1,11 +1,12 @@
 """Bounded single-producer single-consumer FIFO channels.
 
-A channel is the only way data moves between processes. ``send`` blocks
-while the buffer is full, ``recv`` blocks while it is empty, and ``probe``
-never blocks. Both check the closed peer before reporting a would-block
-op, which on a clock run the hooks turn into the deadlock. All
-waiting is condition-variable based with a short wait timeout so an abort
-(watchdog teardown) is noticed promptly even if a notify is lost to a race.
+A channel is the only way data moves between processes. ``send`` waits
+while the buffer is full, ``recv`` waits while it is empty, and ``probe``
+never waits. Both check the closed peer first. Inside a graph one driver
+thread steps every process, so no peer can ever end such a wait: a
+graph's channels raise RunAborted at the op instead, and the driver
+reports it as the deadlock. A standalone channel waits on a condition
+variable, so two threads of its own can drive it.
 """
 
 from __future__ import annotations
@@ -13,14 +14,9 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import ConfigError, Disconnected, RunAborted
 from .tokens import Token
-
-# Safety net so an aborted run never leaves a thread parked forever on a
-# missed notify. Purely an upper bound on wakeup latency, not a poll rate.
-_WAIT_SLICE_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -38,67 +34,17 @@ class ProbeResult:
         return self.count == 0
 
 
-def _describe_blocked(table: dict[str, tuple[str, str]]) -> str:
-    return "; ".join(f"{w} blocked in {op} on {port}" for w, (op, port) in sorted(table.items()))
-
-
-class ChannelHooks:
-    """What the channels of one run report: progress, and who is blocked where.
-
-    ``progress`` is called on every completed send/recv so a watchdog can
-    distinguish a stalled run from a slow one. ``blocked``/``unblocked``
-    maintain a table of who is parked on which port, used to build the
-    deadlock diagnostic. With ``single_driver`` set nothing can complete
-    a would-block op, so ``blocked`` raises RunAborted before the op waits.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._progress = 0
-        self._blocked: dict[str, tuple[str, str]] = {}
-        self.single_driver = False
-
-    def progress(self) -> None:
-        with self._lock:
-            self._progress += 1
-
-    def progress_count(self) -> int:
-        with self._lock:
-            return self._progress
-
-    def blocked(self, who: str, op: str, port: str) -> None:
-        if self.single_driver:
-            raise RunAborted(_describe_blocked({who: (op, port)}))
-        with self._lock:
-            self._blocked[who] = (op, port)
-
-    def unblocked(self, who: str) -> None:
-        with self._lock:
-            self._blocked.pop(who, None)
-
-    def describe_blocked(self) -> str:
-        """``"<who> blocked in <op> on <port>"`` per parked process, by name."""
-        with self._lock:
-            return _describe_blocked(self._blocked)
-
-
 class Channel:
-    def __init__(
-        self,
-        cid: str = "channel",
-        capacity: int = 64,
-        hooks: Optional[ChannelHooks] = None,
-    ) -> None:
+    def __init__(self, cid: str = "channel", capacity: int = 64, blocking: bool = True) -> None:
         if capacity <= 0:
             raise ConfigError(f"channel capacity must be positive, got {capacity}")
         self.cid = cid
         self.capacity = capacity
-        self._hooks = hooks or ChannelHooks()
+        self._blocking = blocking
         self._buf: deque[Token] = deque()
         self._cond = threading.Condition()
         self._producer_closed = False
         self._consumer_closed = False
-        self._aborted = False
         # Endpoint labels, filled in by graph.connect for diagnostics.
         self.producer_label = "producer"
         self.consumer_label = "consumer"
@@ -133,65 +79,42 @@ class Channel:
             self._consumer_closed = True
             self._cond.notify_all()
 
-    def abort(self) -> None:
-        """Wake every blocked peer with RunAborted. Called on watchdog fire."""
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
-
     # -- data plane -------------------------------------------------------
 
+    def _wait(self, who: str, op: str, port: str) -> None:
+        """Wait for a peer; in a graph, raise: no peer can come."""
+        if not self._blocking:
+            raise RunAborted(f"{who} blocked in {op} on {port}")
+        self._cond.wait()
+
     def send(self, token: Token) -> None:
-        """Enqueue a token, blocking while the buffer is full."""
+        """Enqueue a token, waiting while the buffer is full."""
         with self._cond:
+            while not self._consumer_closed and len(self._buf) >= self.capacity:
+                self._wait(self.producer_label, "send", self.producer_port)
             if self._consumer_closed:
                 raise Disconnected(f"{self.cid}: consumer closed")
-            if self._aborted:
-                raise RunAborted(self.cid)
-            if len(self._buf) >= self.capacity:
-                self._hooks.blocked(self.producer_label, "send", self.producer_port)
-                try:
-                    while len(self._buf) >= self.capacity:
-                        if self._consumer_closed:
-                            raise Disconnected(f"{self.cid}: consumer closed")
-                        if self._aborted:
-                            raise RunAborted(self.cid)
-                        self._cond.wait(_WAIT_SLICE_S)
-                finally:
-                    self._hooks.unblocked(self.producer_label)
             self._buf.append(token)
             self._cond.notify_all()
-        self._hooks.progress()
 
     def send_nowait(self, token: Token) -> bool:
-        """Best-effort enqueue: False when full, closed, or aborted."""
+        """Best-effort enqueue: False when full or closed."""
         with self._cond:
-            if self._consumer_closed or self._aborted or len(self._buf) >= self.capacity:
+            if self._consumer_closed or len(self._buf) >= self.capacity:
                 return False
             self._buf.append(token)
             self._cond.notify_all()
-        self._hooks.progress()
         return True
 
     def recv(self) -> Token:
-        """Dequeue the oldest token, blocking while the buffer is empty."""
+        """Dequeue the oldest token, waiting while the buffer is empty."""
         with self._cond:
+            while not self._buf and not self._producer_closed:
+                self._wait(self.consumer_label, "recv", self.consumer_port)
             if not self._buf:
-                if self._producer_closed:
-                    raise Disconnected(f"{self.cid}: producer closed")
-                self._hooks.blocked(self.consumer_label, "recv", self.consumer_port)
-                try:
-                    while not self._buf:
-                        if self._producer_closed:
-                            raise Disconnected(f"{self.cid}: producer closed")
-                        if self._aborted:
-                            raise RunAborted(self.cid)
-                        self._cond.wait(_WAIT_SLICE_S)
-                finally:
-                    self._hooks.unblocked(self.consumer_label)
+                raise Disconnected(f"{self.cid}: producer closed")
             token = self._buf.popleft()
             self._cond.notify_all()
-        self._hooks.progress()
         return token
 
     def probe(self) -> ProbeResult:

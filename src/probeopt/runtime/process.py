@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..errors import ConfigError, DirectionMismatch
 from .channel import Channel, ProbeResult
@@ -142,13 +142,11 @@ class ProcessContext:
         time_source: TimeSource,
         recorder: Recorder,
         commands: deque[CommandKind],
-        probe_progress: Callable[[], None],
     ) -> None:
         self._proc = proc
         self._time = time_source
         self._recorder = recorder
         self._commands = commands
-        self._probe_progress = probe_progress
         self.steps = 0
 
     @property
@@ -171,9 +169,7 @@ class ProcessContext:
         return self._channel(port_name, Direction.IN).recv()
 
     def probe(self, port_name: str) -> ProbeResult:
-        result = self._channel(port_name, Direction.IN).probe()
-        self._probe_progress()
-        return result
+        return self._channel(port_name, Direction.IN).probe()
 
     def port_disconnected(self, port_name: str) -> bool:
         """Has the peer side of this port closed?"""

@@ -1,16 +1,18 @@
-"""Pluggable time sources; each picks one of the graph's two drivers.
+"""Time sources: how the turns of a run's one driver wait.
 
-``TimeSource`` is wall-clock time: sleeps really sleep and every process
-of a free-running run has its own thread. ``VirtualClock`` replaces
-wall-clock sleeps with per-process logical times: the graph then runs
-every process on one driver thread and gives each turn to the process
-that holds the floor, the smallest (time, name) pair. A sleep only
-advances the sleeper's time, so on this clock a sleep ends the process's
-turn, and a run on this clock is reproducible. When every process rests
-one tick per turn (``step_interval = 1.0``) the run is lockstep: each
-tick steps every live process once, in name order.
-A channel op that would block on this clock is reported as the deadlock
-at once; only a wall-clock run starts the progress watchdog.
+One driver thread steps every process of a run. Each turn goes to the
+participant that holds the floor, the smallest (time, name) pair. A
+sleep only moves the sleeper's time on, so a sleep ends the process's
+turn, and work a step does after sleeping still happens before any other
+participant's turn. The time source decides only how a turn waits:
+
+* ``TimeSource`` is wall-clock time. A participant's time is the
+  monotonic instant at which it is next due, and ``gate`` sleeps until
+  then.
+* ``VirtualClock`` keeps logical times and never waits, so a run on it
+  is reproducible. When every process rests one tick per turn
+  (``step_interval = 1.0``) the run is lockstep: each tick steps every
+  live process once, in name order.
 """
 
 from __future__ import annotations
@@ -22,25 +24,10 @@ from ..errors import ConfigError
 
 
 class TimeSource:
-    """Wall-clock time. gate is a no-op; sleep really sleeps."""
+    """Wall-clock time: each participant is due at a monotonic instant.
 
-    def gate(self, name: str) -> None:
-        """Called as ``name`` is about to act. No-op in real time."""
-
-    def sleep(self, name: str, duration: float) -> None:
-        if duration > 0:
-            time.sleep(duration)
-
-
-class VirtualClock(TimeSource):
-    """Deterministic logical time shared by a set of named participants.
-
-    The participant with the lexicographically smallest (time, name) pair
-    holds the floor, and the run's driver steps only that participant.
-    Ties are broken by name, so given fixed participant names the full
-    interleaving of paced turns is a pure function of the sleep durations
-    requested. Work a step does after sleeping still happens before any
-    other participant's turn.
+    Every participant starts at time 0, an instant already past, so the
+    first pass goes in name order, as on the clock.
     """
 
     def __init__(self) -> None:
@@ -61,7 +48,27 @@ class VirtualClock(TimeSource):
         return min(self._times, key=lambda name: (self._times[name], name))
 
     def gate(self, name: str) -> None:
-        """No-op: the driver only gives a turn to the floor holder."""
+        """Called as ``name`` is about to act: sleep until it is due."""
+        wait = self._times[name] - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+
+    def sleep(self, name: str, duration: float) -> None:
+        """Make ``name`` due ``duration`` after now, or after its due instant if later."""
+        if name in self._times:
+            self._times[name] = max(self._times[name], time.monotonic()) + max(duration, 0.0)
+
+
+class VirtualClock(TimeSource):
+    """Deterministic logical time shared by a set of named participants.
+
+    Ties are broken by name, so given fixed participant names the full
+    interleaving of turns is a pure function of the sleep durations
+    requested.
+    """
+
+    def gate(self, name: str) -> None:
+        """No-op: logical time has nothing to wait for."""
 
     def sleep(self, name: str, duration: float) -> None:
         if name in self._times:

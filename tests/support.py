@@ -267,7 +267,14 @@ def wire_standalone(proc: Process, capacity: int = 16, on_probe=lambda: None):
         channels[name] = ch
     recorder = ListRecorder()
     commands = deque()
-    ctx = ProcessContext(proc, TimeSource(), recorder, commands, on_probe)
+    ctx = ProcessContext(proc, TimeSource(), recorder, commands)
+    probe = ctx.probe
+
+    def counted_probe(port_name):
+        on_probe()
+        return probe(port_name)
+
+    ctx.probe = counted_probe
     return ctx, channels, recorder, commands
 
 

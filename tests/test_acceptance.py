@@ -91,9 +91,7 @@ def test_1_latency_trichotomy(capsys):
             assert ok.summary["completed"] == 3
             assert ok.ok
 
-            dead = run_scenario(
-                ScenarioConfig("sync-deadlock", seed=seed, budget=3, watchdog_s=2.0)
-            )
+            dead = run_scenario(ScenarioConfig("sync-deadlock", seed=seed, budget=3))
             assert dead.report.deadlock_detected
             assert dead.summary["completed"] < 3
             assert dead.report.deadlock_diagnostic
@@ -134,7 +132,7 @@ def test_2_done_handshake(capsys):
             observer = threading.Thread(target=observe)
             watcher.start()
             observer.start()
-            report = graph.start(RunLimits(watchdog_timeout=2.0)).wait(30.0)
+            report = graph.start(RunLimits()).wait(30.0)
             watcher.join(5.0)
             observer.join(5.0)
             assert not report.deadlock_detected and not report.errors
@@ -149,7 +147,7 @@ def test_2_done_handshake(capsys):
                 seed, budget=50, latency=(3, 6), step_s=0.005, sleep_s=0.010
             )
             ref = graph.ref_port("optimizer", "done")
-            handle = graph.start(RunLimits(watchdog_timeout=2.0))
+            handle = graph.start(RunLimits())
             deadline = time.monotonic() + 10.0
             while optimizer.completed < 2 and time.monotonic() < deadline:
                 time.sleep(0.001)

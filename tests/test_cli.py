@@ -22,15 +22,13 @@ def test_sync_ok_exits_zero(capsys):
 
 
 def test_sync_deadlock_expected_outcome_exits_zero(capsys):
-    rc = main(
-        ["run", "--scenario", "sync-deadlock", "--budget", "2", "--watchdog-ms", "500"]
-    )
+    rc = main(["run", "--scenario", "sync-deadlock", "--budget", "2"])
     assert rc == 0
     assert "deadlock detected" in capsys.readouterr().out
 
 
 def test_sync_deadlock_is_reported_at_the_blocked_recv(tmp_path, capsys):
-    # Default --watchdog-ms: the barrier run has no watchdog to wait out.
+    # Reported at the op that would block, with no stall window to wait out.
     rc = main(["run", "--scenario", "sync-deadlock", "--out", str(tmp_path)])
     assert rc == 0
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
@@ -143,6 +141,14 @@ _MISSING = {k: v for k, v in _DEFAULT_DOC.items() if k != "n_requests"}
             {**_DEFAULT_DOC, "view_height": True},
             "--problem-json: field view_height must be a number, got True",
         ),
+        (
+            {**_DEFAULT_DOC, "turn_speed": float("nan")},
+            "--problem-json: turn_speed must be positive and finite, got nan",
+        ),
+        (
+            {**_DEFAULT_DOC, "turn_speed": float("inf")},
+            "--problem-json: turn_speed must be positive and finite, got inf",
+        ),
     ],
     ids=[
         "non-numeric-field",
@@ -151,6 +157,8 @@ _MISSING = {k: v for k, v in _DEFAULT_DOC.items() if k != "n_requests"}
         "fractional-integer",
         "boolean-integer",
         "boolean-number",
+        "turn-speed-nan",
+        "turn-speed-inf",
     ],
 )
 def test_malformed_problem_json_exits_two_naming_flag_and_field(document, message, tmp_path, capsys):
@@ -222,14 +230,11 @@ def test_pacing_that_cannot_finish_exits_two_naming_the_flag(scenario, flags, na
     assert err.startswith("error: ") and named in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
-def test_bad_watchdog_ms_exits_two_naming_the_flag(value, capsys):
-    # async-probe is the one scenario that runs the watchdog; a nan
-    # window used to pass validation and never fire.
-    rc = main(["run", "--scenario", "async-probe", "--budget", "2", "--watchdog-ms", value])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --watchdog-ms") and err.count("\n") == 1
+def test_removed_watchdog_flag_exits_two_naming_it(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "async-probe", "--budget", "2", "--watchdog-ms", "500"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --watchdog-ms 500" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_two_naming_the_flag(capsys):
@@ -239,7 +244,8 @@ def test_negative_seed_exits_two_naming_the_flag(capsys):
 
 
 def test_async_probe_keeps_zero_sleep(capsys):
-    # Wall-clock threads advance on their own; a zero probe sleep busy-waits.
+    # Wall time advances on its own: a zero probe sleep busy-waits until the
+    # evaluator is due.
     rc = main(["run", "--scenario", "async-probe", "--budget", "2", "--sleep-ms", "0"])
     assert rc == 0
     assert "completed 2/2" in capsys.readouterr().out

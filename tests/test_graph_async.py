@@ -1,4 +1,4 @@
-"""Free-running mode: liveness, pausing, watchdog, paced determinism."""
+"""The one driver: liveness, pausing, deadlock at the op, paced determinism."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from probeopt.errors import CommandAfterStop, UnknownProcess
 from probeopt.runtime.graph import ProcessGraph, RunLimits
 from probeopt.runtime.process import Process
-from probeopt.runtime.timesource import VirtualClock
+from probeopt.runtime.timesource import TimeSource, VirtualClock
 from probeopt.runtime.tokens import CommandKind
 from probeopt.runtime.trace import ListRecorder
 from support import Scalar, lockstep
@@ -85,7 +85,7 @@ def _async_pair(seed, rounds=5):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_probing_client_never_deadlocks(seed):
     graph, caller = _async_pair(seed)
-    report = graph.start(RunLimits(max_steps=100_000, watchdog_timeout=2.0)).wait(30.0)
+    report = graph.start(RunLimits(max_steps=100_000)).wait(30.0)
     assert not report.deadlock_detected
     assert caller.completed == 5
     assert not report.errors
@@ -120,22 +120,6 @@ class _DeafSink(Process):
         return False
 
 
-def test_watchdog_catches_blocked_sender_and_names_both_ports():
-    graph = ProcessGraph()
-    sender = _FloodSender("sender", count=5)
-    sink = _DeafSink("sink")
-    graph.add_process(sender)
-    graph.add_process(sink)
-    graph.connect(sender.out_port("out"), sink.in_port("inbox"), capacity=4)
-    graph.connect(sender.out_port("aux"), sink.in_port("never"), capacity=4)
-    # The sink ignores its inbox and waits on "aux" traffic that never comes,
-    # so the sender jams on the full inbox: mutual silence, zero progress.
-    report = graph.start(RunLimits(max_steps=10_000, watchdog_timeout=0.4)).wait(30.0)
-    assert report.deadlock_detected
-    assert "sender" in report.deadlock_diagnostic and "send" in report.deadlock_diagnostic
-    assert "sink" in report.deadlock_diagnostic and "recv" in report.deadlock_diagnostic
-
-
 class _Counter(Process):
     def __init__(self, name):
         super().__init__(name)
@@ -153,7 +137,7 @@ def test_pause_freezes_steps_and_run_resumes():
     graph = ProcessGraph()
     graph.add_process(_Counter("c"))
     count = graph.ref_port("c", "count")
-    handle = graph.start(RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
+    handle = graph.start(RunLimits(max_steps=1_000_000))
     time.sleep(0.05)
     graph.issue_command("c", CommandKind.PAUSE)
     time.sleep(0.05)  # let the pause land
@@ -181,14 +165,14 @@ def test_pause_longer_than_the_watchdog_is_not_a_deadlock(clock, tick):
         lockstep(counter)
     count = graph.ref_port("c", "count")
     handle = graph.start(
-        RunLimits(max_steps=10_000_000, watchdog_timeout=0.3),
+        RunLimits(max_steps=10_000_000),
         time_source=clock() if clock else None,
     )
     time.sleep(0.05)
     graph.issue_command("c", CommandKind.PAUSE)
     time.sleep(0.05)  # let the pause land
     frozen = count.read()
-    time.sleep(0.6)  # twice the watchdog window
+    time.sleep(0.6)  # a pause of many step intervals
     assert count.read() == frozen
     graph.issue_command("c", CommandKind.STOP)  # the command queue is still open
     report = handle.wait(5.0)
@@ -211,7 +195,7 @@ def test_paused_single_driver_does_not_spin(tick):
     if tick:
         lockstep(spy)
     handle = graph.start(
-        RunLimits(max_steps=10_000_000, watchdog_timeout=5.0), time_source=VirtualClock()
+        RunLimits(max_steps=10_000_000), time_source=VirtualClock()
     )
     time.sleep(0.05)
     graph.issue_command("c", CommandKind.PAUSE)
@@ -228,7 +212,7 @@ def test_paused_single_driver_does_not_spin(tick):
 def test_stop_is_prompt_and_terminal():
     graph = ProcessGraph()
     graph.add_process(_Counter("c"))
-    handle = graph.start(RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
+    handle = graph.start(RunLimits(max_steps=1_000_000))
     time.sleep(0.03)
     t0 = time.monotonic()
     graph.issue_command("c", CommandKind.STOP)
@@ -258,7 +242,7 @@ class _Crasher(Process):
 def test_crashed_process_is_reported_not_hung():
     graph = ProcessGraph()
     graph.add_process(_Crasher("bad"))
-    report = graph.start(RunLimits(max_steps=100, watchdog_timeout=2.0)).wait(30.0)
+    report = graph.start(RunLimits(max_steps=100)).wait(30.0)
     assert "bad" in report.errors
     assert "boom" in report.errors["bad"]
 
@@ -267,7 +251,7 @@ def test_probe_stays_fast_under_contention():
     """A probe must never block, even while both endpoints hammer the channel."""
     graph, caller = _async_pair(seed=9, rounds=50)
     req = caller.out_port("req").channel
-    handle = graph.start(RunLimits(max_steps=1_000_000, watchdog_timeout=5.0))
+    handle = graph.start(RunLimits(max_steps=1_000_000))
     worst = 0.0
     for _ in range(300):
         t0 = time.perf_counter()
@@ -275,7 +259,7 @@ def test_probe_stays_fast_under_contention():
         worst = max(worst, time.perf_counter() - t0)
     report = handle.wait(20.0)
     assert not report.deadlock_detected
-    # Watchdog window here is 5 s; a probe taking 1% of that would be absurd.
+    # A probe taking 50 ms would be absurd.
     assert worst < 0.05
 
 
@@ -284,7 +268,7 @@ def _paced_run(seed):
     recorder = ListRecorder()
     clock = VirtualClock()
     report = graph.start(
-        RunLimits(max_steps=100_000, watchdog_timeout=2.0),
+        RunLimits(max_steps=100_000),
         time_source=clock,
         recorder=recorder,
     ).wait(30.0)
@@ -313,13 +297,13 @@ class _Ticker(Process):
 def test_step_limit_exhaustion_is_finished_not_deadlocked():
     graph = ProcessGraph()
     graph.add_process(_Ticker("ticker"))
-    handle = graph.start(RunLimits(max_steps=50, watchdog_timeout=0.3))
+    handle = graph.start(RunLimits(max_steps=50))
     deadline = time.monotonic() + 5.0
     while not graph.is_terminated("ticker") and time.monotonic() < deadline:
         time.sleep(0.005)
     assert graph.is_terminated("ticker")
-    # Linger past the watchdog window before joining: a run that is over
-    # must not be reported as stalled while the caller dawdles.
+    # Linger before joining: a run that is over must not be reported as
+    # stalled while the caller dawdles.
     time.sleep(0.7)
     report = handle.wait(5.0)
     assert not report.deadlock_detected
@@ -335,7 +319,7 @@ def test_paced_pause_run_and_stop_from_outside():
     graph.add_process(_Counter("d"))
     c, d = graph.ref_port("c", "count"), graph.ref_port("d", "count")
     handle = graph.start(
-        RunLimits(max_steps=10_000_000, watchdog_timeout=5.0), time_source=VirtualClock()
+        RunLimits(max_steps=10_000_000), time_source=VirtualClock()
     )
     time.sleep(0.05)
     graph.issue_command("c", CommandKind.PAUSE)
@@ -360,9 +344,9 @@ def test_paced_step_limit_exhaustion_is_finished_not_deadlocked():
     graph.add_process(_Ticker("ticker"))
     graph.add_process(_Counter("counter"))
     handle = graph.start(
-        RunLimits(max_steps=50, watchdog_timeout=0.3), time_source=VirtualClock()
+        RunLimits(max_steps=50), time_source=VirtualClock()
     )
-    time.sleep(0.7)  # linger past the watchdog window before joining
+    time.sleep(0.7)  # linger before joining
     report = handle.wait(5.0)
     assert not report.deadlock_detected
     assert report.steps_executed == {"ticker": 50, "counter": 50}
@@ -373,7 +357,7 @@ def test_paced_crash_is_reported_and_others_run_on():
     graph.add_process(_Crasher("bad"))
     graph.add_process(_Ticker("ticker"))
     report = graph.start(
-        RunLimits(max_steps=100, watchdog_timeout=2.0), time_source=VirtualClock()
+        RunLimits(max_steps=100), time_source=VirtualClock()
     ).wait(10.0)
     assert "boom" in report.errors["bad"]
     assert report.steps_executed["ticker"] == 100
@@ -396,17 +380,19 @@ class _ThreadSpy(Process):
         return ctx.steps >= 20
 
 
-@pytest.mark.parametrize("tick", [False, True], ids=["paced", "barrier"])
-def test_clock_run_starts_exactly_one_thread(tick):
-    """The driver steps every process; no watchdog runs beside it."""
+@pytest.mark.parametrize(
+    "clock, tick",
+    [(TimeSource, False), (VirtualClock, False), (VirtualClock, True)],
+    ids=["wall", "paced", "barrier"],
+)
+def test_clock_run_starts_exactly_one_thread(clock, tick):
+    """The driver steps every process; no other thread runs beside it."""
     before = set(threading.enumerate())
     graph = ProcessGraph()
     spies = [graph.add_process(_ThreadSpy(name, before)) for name in ("a", "b", "c")]
     if tick:
         lockstep(*spies)
-    report = graph.start(
-        RunLimits(max_steps=1_000, watchdog_timeout=2.0), time_source=VirtualClock()
-    ).wait(10.0)
+    report = graph.start(RunLimits(max_steps=1_000), time_source=clock()).wait(10.0)
     assert not report.deadlock_detected and not report.errors
     (driver,) = set.union(*(spy.stepped_on for spy in spies))
     assert set.union(*(spy.new_threads for spy in spies)) == {driver}
@@ -424,26 +410,24 @@ class _Idle(Process):
         return False
 
 
-def test_paced_process_blocked_in_recv_is_reported_at_the_op():
-    graph = ProcessGraph()
-    idle = graph.add_process(_Idle("idle"))
-    sink = graph.add_process(_DeafSink("sink"))
-    graph.connect(idle.out_port("out"), sink.in_port("never"), capacity=4)
-    t0 = time.monotonic()
-    report = graph.start(
-        RunLimits(max_steps=10_000, watchdog_timeout=0.4), time_source=VirtualClock()
-    ).wait(10.0)
-    assert time.monotonic() - t0 < 3.0
-    assert report.deadlock_detected
-    assert "sink blocked in recv on sink.never" in report.deadlock_diagnostic
-    assert graph.is_terminated("idle") and graph.is_terminated("sink")
+class _BurstSender(_FloodSender):
+    """Sends its whole count in its first step, before any peer's turn."""
+
+    def step(self, ctx):
+        for k in range(self.count):
+            ctx.send("out", Scalar(k))
+        return True
 
 
-def _flood_into_deaf_sink(graph):
-    sender = graph.add_process(_FloodSender("sender", count=5))
+def _flood_into_deaf_sink(graph, sender_type=_FloodSender):
+    sender = graph.add_process(sender_type("sender", count=5))
     sink = graph.add_process(_DeafSink("sink"))
     graph.connect(sender.out_port("out"), sink.in_port("inbox"), capacity=4)
     graph.connect(sender.out_port("aux"), sink.in_port("never"), capacity=4)
+
+
+def _burst_into_deaf_sink(graph):
+    _flood_into_deaf_sink(graph, _BurstSender)
 
 
 def _idle_feeds_deaf_sink(graph):
@@ -458,23 +442,31 @@ def _lockstep_idle_feeds_deaf_sink(graph):
 
 
 @pytest.mark.parametrize(
-    "build, expected",
+    "clock, build, expected",
     [
-        (_flood_into_deaf_sink, "sender blocked in send on sender.out"),
-        (_idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
-        (_lockstep_idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
+        (VirtualClock, _flood_into_deaf_sink, "sender blocked in send on sender.out"),
+        (VirtualClock, _idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
+        (VirtualClock, _lockstep_idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
+        (TimeSource, _burst_into_deaf_sink, "sender blocked in send on sender.out"),
+        (TimeSource, _idle_feeds_deaf_sink, "sink blocked in recv on sink.never"),
     ],
-    ids=["paced-send-full", "paced-recv-empty", "barrier-recv-empty"],
+    ids=[
+        "paced-send-full",
+        "paced-recv-empty",
+        "barrier-recv-empty",
+        "wall-send-full",
+        "wall-recv-empty",
+    ],
 )
-def test_clock_deadlock_is_reported_at_the_blocking_op(build, expected):
+def test_clock_deadlock_is_reported_at_the_blocking_op(clock, build, expected):
     """No stall window: the op that would block is the deadlock."""
     graph = ProcessGraph()
     build(graph)
     recorder = ListRecorder()
     t0 = time.monotonic()
     report = graph.start(
-        RunLimits(max_steps=10_000, watchdog_timeout=60.0),
-        time_source=VirtualClock(),
+        RunLimits(max_steps=10_000),
+        time_source=clock(),
         recorder=recorder,
     ).wait(10.0)
     assert time.monotonic() - t0 < 0.5
@@ -524,10 +516,38 @@ def test_recv_after_producer_finished_disconnects_not_deadlocks(clock, tick):
         lockstep(producer, consumer)
     graph.connect(producer.out_port("out"), consumer.in_port("inp"), capacity=4)
     report = graph.start(
-        RunLimits(max_steps=100, watchdog_timeout=2.0),
+        RunLimits(max_steps=100),
         time_source=clock() if clock else None,
     ).wait(10.0)
     assert not report.deadlock_detected and report.deadlock_diagnostic is None
     assert not report.errors
     assert consumer.received == [1.0]
     assert report.steps_executed == {"a": 1, "b": 2}
+
+
+class _Hang(Process):
+    """Blocks inside its first step until the test releases it."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.release = threading.Event()
+
+    def step(self, ctx):
+        self.release.wait()
+        return True
+
+
+@pytest.mark.parametrize("clock", [TimeSource, VirtualClock], ids=["wall", "paced"])
+def test_step_that_never_returns_is_bounded_by_wait_timeout(clock):
+    """Outside a channel op nothing reports a hung step: ``wait`` times out."""
+    graph = ProcessGraph()
+    hang = graph.add_process(_Hang("hang"))
+    handle = graph.start(RunLimits(max_steps=10), time_source=clock())
+    t0 = time.monotonic()
+    with pytest.raises(TimeoutError, match="within 0.3s"):
+        handle.wait(0.3)
+    assert time.monotonic() - t0 < 1.0
+    hang.release.set()
+    report = handle.wait(5.0)
+    assert not report.deadlock_detected and not report.errors
+    assert report.steps_executed == {"hang": 1}

@@ -80,7 +80,7 @@ def _run_lockstep(graph, limits, recorder=None):
 
 def test_lockstep_completes_with_single_step_latency():
     graph, caller = _pingpong_graph(latency=1)
-    report = _run_lockstep(graph, RunLimits(max_steps=1000, watchdog_timeout=1.0))
+    report = _run_lockstep(graph, RunLimits(max_steps=1000))
     assert not report.deadlock_detected
     assert caller.completed == 3
 
@@ -88,7 +88,7 @@ def test_lockstep_completes_with_single_step_latency():
 @pytest.mark.parametrize("latency", [2, 3, 5])
 def test_lockstep_deadlocks_when_latency_exceeds_one(latency):
     graph, caller = _pingpong_graph(latency=latency)
-    report = _run_lockstep(graph, RunLimits(max_steps=100_000, watchdog_timeout=0.3))
+    report = _run_lockstep(graph, RunLimits(max_steps=100_000))
     assert report.deadlock_detected
     assert caller.completed == 0
     # Diagnostic names the stuck process and the empty port it blocks on.
@@ -101,7 +101,7 @@ def test_lockstep_deadlocks_when_latency_exceeds_one(latency):
 def test_lockstep_outcome_ignores_registration_order(latency):
     """Responder registered first: a round still runs in name order."""
     graph, caller = _pingpong_graph(latency=latency, responder_first=True)
-    report = _run_lockstep(graph, RunLimits(max_steps=100_000, watchdog_timeout=0.3))
+    report = _run_lockstep(graph, RunLimits(max_steps=100_000))
     assert report.deadlock_detected == (latency > 1)
     assert caller.completed == (3 if latency == 1 else 0)
 
@@ -109,7 +109,7 @@ def test_lockstep_outcome_ignores_registration_order(latency):
 def test_barrier_accepts_a_virtual_clock():
     graph, caller = _pingpong_graph(latency=1)
     clock = VirtualClock()
-    report = graph.start(RunLimits(max_steps=1000, watchdog_timeout=1.0), clock).wait(30.0)
+    report = graph.start(RunLimits(max_steps=1000), clock).wait(30.0)
     assert not report.deadlock_detected
     assert caller.completed == 3
     assert clock.floor() is None  # every process left the clock it was given
@@ -133,7 +133,7 @@ def test_barrier_keeps_step_counters_within_one():
     graph.add_process(b)
     lockstep(a, b)
     recorder = ListRecorder()
-    report = _run_lockstep(graph, RunLimits(max_steps=100, watchdog_timeout=1.0), recorder)
+    report = _run_lockstep(graph, RunLimits(max_steps=100), recorder)
     assert not report.deadlock_detected
     counts = {"a": 0, "b": 0}
     for event in recorder.events("tick"):
@@ -148,7 +148,7 @@ def test_stop_command_terminates_process_in_lockstep():
     graph.add_process(a)
     lockstep(a)
     graph.issue_command("a", CommandKind.STOP)
-    report = _run_lockstep(graph, RunLimits(max_steps=100_000, watchdog_timeout=1.0))
+    report = _run_lockstep(graph, RunLimits(max_steps=100_000))
     assert not report.deadlock_detected
     assert report.steps_executed["a"] == 0  # stopped before its first step
 
@@ -158,18 +158,10 @@ def test_empty_graph_and_bad_limits_rejected():
         ProcessGraph().start()
     with pytest.raises(ConfigError):
         RunLimits(max_steps=0)
-    with pytest.raises(ConfigError):
-        RunLimits(watchdog_timeout=0.0)
-
-
-@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
-def test_run_limits_reject_a_watchdog_timeout_that_never_fires(timeout):
-    with pytest.raises(ConfigError, match="watchdog_timeout"):
-        RunLimits(watchdog_timeout=timeout)
 
 
 def test_max_steps_bounds_lockstep_run():
     graph = ProcessGraph()
     lockstep(graph.add_process(_Ticker("a", 1_000_000)))
-    report = _run_lockstep(graph, RunLimits(max_steps=25, watchdog_timeout=5.0))
+    report = _run_lockstep(graph, RunLimits(max_steps=25))
     assert report.steps_executed["a"] == 25

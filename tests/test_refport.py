@@ -71,7 +71,7 @@ def test_target_stopped_flag_and_last_value_persists():
     done = graph.ref_port("p", "done")
     value = graph.ref_port("p", "value")
     assert not graph.is_terminated("p")
-    report = graph.start(RunLimits(max_steps=100, watchdog_timeout=2.0)).wait(30.0)
+    report = graph.start(RunLimits(max_steps=100)).wait(30.0)
     assert not report.deadlock_detected
     assert graph.is_terminated("p")
     assert done.read() is True  # last write outlives the process

@@ -29,7 +29,7 @@ def test_step_limit_exhaustion_is_failure_not_deadlock():
     # The budget cannot complete within the step allowance; the run must
     # end as a plain shortfall, not be painted as a deadlock.
     result = run_scenario(
-        ScenarioConfig("async-probe", seed=1, budget=10, max_steps=30, watchdog_s=0.5)
+        ScenarioConfig("async-probe", seed=1, budget=10, max_steps=30)
     )
     assert not result.ok
     assert not result.report.deadlock_detected
