@@ -4,7 +4,8 @@ The evaluator is deliberately bursty. Each accepted request costs a
 uniformly drawn number of service steps during which the process stays
 busy and does not touch its ports; only on the final step does it run the
 annealing pipeline and send the score back, echoing the request so the
-caller can pair them up.
+caller can pair them up. It stops once its request port is empty and
+closed: the runtime closes that port when the optimizer finishes.
 
 Scoring is out-of-band reproducible: ``evaluate_params`` with the same
 problem, parameters and generator state returns exactly what the process
@@ -27,7 +28,7 @@ from .qubo.problem import SatelliteProblem, generate_geometry
 from .qubo.schedule import decode
 from .bo.search import SearchSpace
 from .runtime.process import Process, ProcessContext
-from .runtime.tokens import Done, ParamVector, ResultTuple
+from .runtime.tokens import ParamVector, ResultTuple
 
 REQUEST_PORT = "request_in"
 RESULT_PORT = "result_out"
@@ -127,10 +128,7 @@ class SchedulingEvaluator(Process):
             if probe.empty:
                 # Idle. Exit for good once no producer can ever feed us.
                 return ctx.port_disconnected(REQUEST_PORT)
-            token = ctx.recv(REQUEST_PORT)
-            if isinstance(token, Done):
-                return True
-            if not self._admit(ctx, token):
+            if not self._admit(ctx, ctx.recv(REQUEST_PORT)):
                 return False
             self._latency = int(
                 self._latency_rng.integers(

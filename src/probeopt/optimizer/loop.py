@@ -10,9 +10,9 @@ for every process, so a Stop is observed within one sleep plus one step.
 
 Completion is published once, from ``finish``, which the runtime calls on
 every way out of the run (budget met, Stop, failed peer, crash, step
-limit): a ``done`` flag readable from outside through a reference port
-(pollable without touching any channel), and a Done sentinel pushed to the
-candidate port so a peer evaluator knows to shut down.
+limit): a ``done`` flag readable from outside through a reference port,
+pollable without touching any channel. The runtime then closes the
+candidate port, and a peer evaluator stops once it finds that port closed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 from ..errors import ConfigError, Disconnected
 from ..runtime.process import Process, ProcessContext
-from ..runtime.tokens import Done, ParamVector, ResultTuple
+from ..runtime.tokens import ParamVector, ResultTuple
 from ..bo.search import Observation
 
 RESULT_PORT = "result_in"
@@ -69,9 +69,8 @@ class AsyncOptimizer(Process):
         return self.loop_step(ctx)
 
     def finish(self, ctx: ProcessContext) -> None:
-        """Raise the done flag and tell the evaluator to shut down."""
+        """Raise the done flag."""
         ctx.set_ref("done", True)
-        ctx.send_nowait(CANDIDATE_PORT, Done())
 
     # -- the loop --------------------------------------------------------------
 

@@ -9,7 +9,7 @@ within half the view height of its track.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -55,16 +55,18 @@ class SatelliteProblem:
     def from_dict(cls, data: Any) -> "SatelliteProblem":
         """The problem a parsed JSON document describes.
 
-        The document comes from outside the program, so a missing field,
-        a field that is not a number (or not an integer, where one is
-        due), a boolean and a document that is not an object each raise
-        ConfigError naming what is wrong.
+        The document comes from outside the program, so a missing or
+        unknown field, a field that is not a number (or not an integer,
+        where one is due), a boolean and a document that is not an object
+        each raise ConfigError naming what is wrong.
         """
         if not isinstance(data, dict):
             raise ConfigError(f"expected a JSON object, got {type(data).__name__}")
+        _reject_unknown(data, cls)
         weights = data.get("qubo_weights", {})
         if not isinstance(weights, dict):
             raise ConfigError(f"field qubo_weights must be an object, got {weights!r}")
+        _reject_unknown(weights, QuboWeights, "qubo_weights.")
         weights = {"w_reward": 1.0, "w_penalty": 2.0, **weights}
         return cls(
             n_satellites=_field(data, "n_satellites", int),
@@ -77,6 +79,14 @@ class SatelliteProblem:
                 w_penalty=_field(weights, "w_penalty", float, "qubo_weights."),
             ),
         )
+
+
+def _reject_unknown(data: dict[str, Any], cls: type, where: str = "") -> None:
+    """A misspelt key would otherwise fall back to its default unseen."""
+    known = {f.name for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown field {where}{key}")
 
 
 def _field(data: dict[str, Any], key: str, kind: type, where: str = "") -> Any:

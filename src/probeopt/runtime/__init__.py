@@ -4,14 +4,13 @@ from .channel import Channel, ProbeResult
 from .graph import ProcessGraph, RunHandle, RunLimits, RunReport
 from .process import Direction, PortSpec, Process, ProcessContext, RefPortHandle, RefVar
 from .timesource import TimeSource, VirtualClock
-from .tokens import CommandKind, Done, ParamVector, ResultTuple, Token
+from .tokens import CommandKind, ParamVector, ResultTuple, Token
 from .trace import ListRecorder, Recorder
 
 __all__ = [
     "Channel",
     "CommandKind",
     "Direction",
-    "Done",
     "ListRecorder",
     "ParamVector",
     "PortSpec",

@@ -105,12 +105,13 @@ class Process:
     def out_port(self, name: str) -> PortSpec:
         return self._port(name, Direction.OUT)
 
-    def _port(self, name: str, direction: Direction) -> PortSpec:
+    def _port(self, name: str, direction: Optional[Direction] = None) -> PortSpec:
+        """The port called ``name``, checked against ``direction`` when given."""
         try:
             spec = self.ports[name]
         except KeyError:
             raise ConfigError(f"{self.name}: no port named {name!r}") from None
-        if spec.direction is not direction:
+        if direction is not None and spec.direction is not direction:
             raise DirectionMismatch(f"{self.name}.{name} is {spec.direction.value}")
         return spec
 
@@ -162,9 +163,6 @@ class ProcessContext:
     def send(self, port_name: str, token: Token) -> None:
         self._channel(port_name, Direction.OUT).send(token)
 
-    def send_nowait(self, port_name: str, token: Token) -> bool:
-        return self._channel(port_name, Direction.OUT).send_nowait(token)
-
     def recv(self, port_name: str) -> Token:
         return self._channel(port_name, Direction.IN).recv()
 
@@ -172,9 +170,9 @@ class ProcessContext:
         return self._channel(port_name, Direction.IN).probe()
 
     def port_disconnected(self, port_name: str) -> bool:
-        """Has the peer side of this port closed?"""
-        spec = self._proc.ports.get(port_name)
-        if spec is None or spec.channel is None:
+        """Has the peer side of this port closed? An unconnected port has no peer."""
+        spec = self._proc._port(port_name)
+        if spec.channel is None:
             return True
         if spec.direction is Direction.IN:
             return spec.channel.producer_closed

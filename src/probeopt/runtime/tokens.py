@@ -37,9 +37,4 @@ class ResultTuple:
     score: float
 
 
-@dataclass(frozen=True)
-class Done:
-    """Sentinel announcing the producer will send nothing further."""
-
-
-Token = Union[ParamVector, ResultTuple, Done]
+Token = Union[ParamVector, ResultTuple]

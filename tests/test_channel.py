@@ -10,7 +10,8 @@ import pytest
 
 from probeopt.errors import ConfigError, Disconnected
 from probeopt.runtime.channel import Channel
-from support import Scalar
+from probeopt.runtime.process import Process
+from support import Scalar, wire_standalone
 
 
 def test_capacity_must_be_positive():
@@ -112,6 +113,24 @@ def test_probe_on_disconnected_is_empty_with_flag():
     result = ch.probe()
     assert result.empty
     assert ch.producer_closed  # flag readable separately, probe itself is silent
+
+
+def test_port_disconnected_reads_the_peer_and_rejects_an_unknown_port():
+    proc = Process("p")
+    proc.add_in_port("req")
+    proc.add_out_port("res")
+    ctx, ch, _, _ = wire_standalone(proc)
+    proc.add_in_port("spare")  # added after wiring: never connected
+    assert not ctx.port_disconnected("req")
+    assert not ctx.port_disconnected("res")
+    ch["req"].close_producer()
+    ch["res"].close_consumer()
+    assert ctx.port_disconnected("req")
+    assert ctx.port_disconnected("res")
+    assert ctx.port_disconnected("spare")  # no peer at all
+    # A misspelt name is a wiring error, as for every other port op, not a gone peer.
+    with pytest.raises(ConfigError, match="no port named 'rq'"):
+        ctx.port_disconnected("rq")
 
 
 def test_blocked_sender_wakes_on_consumer_close():

@@ -149,6 +149,12 @@ _MISSING = {k: v for k, v in _DEFAULT_DOC.items() if k != "n_requests"}
             {**_DEFAULT_DOC, "turn_speed": float("inf")},
             "--problem-json: turn_speed must be positive and finite, got inf",
         ),
+        # A misspelt key would otherwise load the instance with its default.
+        ({**_DEFAULT_DOC, "n_satelites": 9}, "--problem-json: unknown field n_satelites"),
+        (
+            {**_DEFAULT_DOC, "qubo_weights": {"w_penalti": 5.0}},
+            "--problem-json: unknown field qubo_weights.w_penalti",
+        ),
     ],
     ids=[
         "non-numeric-field",
@@ -159,6 +165,8 @@ _MISSING = {k: v for k, v in _DEFAULT_DOC.items() if k != "n_requests"}
         "boolean-number",
         "turn-speed-nan",
         "turn-speed-inf",
+        "unknown-field",
+        "unknown-weight-field",
     ],
 )
 def test_malformed_problem_json_exits_two_naming_flag_and_field(document, message, tmp_path, capsys):

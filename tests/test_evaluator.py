@@ -23,7 +23,7 @@ from probeopt.qubo.conflict import build_conflict_graph
 from probeopt.qubo.model import to_qubo
 from probeopt.qubo.problem import SatelliteProblem, generate_geometry
 from probeopt.qubo.schedule import decode
-from probeopt.runtime.tokens import Done, ParamVector, ResultTuple
+from probeopt.runtime.tokens import ParamVector, ResultTuple
 from support import Scalar, wire_standalone
 
 
@@ -150,10 +150,17 @@ def test_non_param_token_dropped_without_reply():
     assert recorder.events("request_dropped")
 
 
-def test_done_token_terminates():
+def test_stops_once_request_port_closes():
     ev = SchedulingEvaluator("ev", _config())
     ctx, ch, _, _ = wire_standalone(ev)
-    ch["request_in"].send(Done())
+    assert ev.step(ctx) is False  # open and empty: more may come
+    ch["request_in"].send(ParamVector((2.0, 2.0)))
+    ch["request_in"].close_producer()
+    # A request queued before the close is still served in full ...
+    while ch["result_out"].probe().empty:
+        assert ev.step(ctx) is False
+    assert ch["result_out"].recv().params == (2.0, 2.0)
+    # ... and the next step, on the empty closed port, stops.
     assert ev.step(ctx) is True
 
 

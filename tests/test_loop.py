@@ -12,7 +12,7 @@ from probeopt.optimizer.loop import AsyncOptimizer, CANDIDATE_PORT, RESULT_PORT
 from probeopt.runtime.graph import ProcessGraph, RunLimits
 from probeopt.runtime.process import Process, RefPortHandle, RefVar
 from probeopt.runtime.timesource import VirtualClock
-from probeopt.runtime.tokens import CommandKind, Done, ParamVector, ResultTuple
+from probeopt.runtime.tokens import CommandKind, ParamVector, ResultTuple
 from support import Scalar, await_done, wire_standalone
 
 
@@ -103,7 +103,7 @@ def test_finishes_after_budget_and_publishes_done():
     assert not done.read()  # published by finish, which the runtime calls next
     opt.finish(ctx)
     assert done.read() is True
-    assert isinstance(ch[CANDIDATE_PORT].recv(), Done)  # shutdown sentinel
+    assert ch[CANDIDATE_PORT].probe().empty  # finish sends nothing: the runtime closes the port
 
 
 def test_echo_mismatch_dropped_with_diagnostic():
@@ -155,25 +155,24 @@ def test_non_finite_probe_sleep_rejected(sleep):
 
 
 class _Echo(Process):
-    """Evaluator stand-in: answers each request in the step that takes it."""
+    """Evaluator stand-in: answers each request in the step that takes it.
+
+    It stops once its request port is empty and closed. A reply to an
+    optimizer that has already stopped raises Disconnected, on which the
+    runtime finishes it too.
+    """
 
     def __init__(self, name):
         super().__init__(name)
         self.step_interval = 0.001
         self.add_in_port("request_in")
         self.add_out_port("result_out")
-        self.got_done = False
 
     def step(self, ctx):
         if ctx.probe("request_in").empty:
             return ctx.port_disconnected("request_in")
         token = ctx.recv("request_in")
-        if isinstance(token, Done):
-            self.got_done = True
-            return True
-        # nowait: a Stop may close the optimizer's result port at any time,
-        # and the Done sentinel it sent first must still be read.
-        ctx.send_nowait("result_out", ResultTuple(params=token.values, score=sum(token.values)))
+        ctx.send("result_out", ResultTuple(params=token.values, score=sum(token.values)))
         return False
 
 
@@ -185,7 +184,7 @@ def _graph(search, budget):
     graph.add_process(evaluator)
     graph.connect(optimizer.out_port(CANDIDATE_PORT), evaluator.in_port("request_in"), capacity=8)
     graph.connect(evaluator.out_port("result_out"), optimizer.in_port(RESULT_PORT), capacity=8)
-    return graph, optimizer, evaluator
+    return graph, optimizer
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -196,7 +195,7 @@ def _wait_until(predicate, timeout=5.0):
 
 
 def test_pause_skips_probing_until_run():
-    graph, opt, _ = _graph(_ScriptedSearch(_POINTS), budget=1_000_000)
+    graph, opt = _graph(_ScriptedSearch(_POINTS), budget=1_000_000)
     handle = graph.start(RunLimits(max_steps=10_000_000))
     assert _wait_until(lambda: opt.completed >= 2), "run never warmed up"
     graph.issue_command("optimizer", CommandKind.PAUSE)
@@ -212,7 +211,7 @@ def test_pause_skips_probing_until_run():
 
 
 def test_stop_command_halts_loop_and_sets_done():
-    graph, opt, evaluator = _graph(_ScriptedSearch(_POINTS), budget=1_000_000)
+    graph, opt = _graph(_ScriptedSearch(_POINTS), budget=1_000_000)
     done = graph.ref_port("optimizer", "done")
     handle = graph.start(RunLimits(max_steps=10_000_000))
     assert _wait_until(lambda: opt.completed >= 2), "run never warmed up"
@@ -220,7 +219,6 @@ def test_stop_command_halts_loop_and_sets_done():
     graph.issue_command("optimizer", CommandKind.STOP)
     report = handle.wait(5.0)
     assert done.read() is True
-    assert evaluator.got_done  # the shutdown sentinel reached the evaluator
     assert graph.is_terminated("evaluator")
     assert not report.deadlock_detected and not report.errors
 
@@ -232,7 +230,7 @@ class _CrashingSearch(_ScriptedSearch):
 
 @pytest.mark.parametrize("paced", [False, True], ids=["threaded", "paced"])
 def test_crashing_search_still_publishes_done(paced):
-    graph, _, evaluator = _graph(_CrashingSearch(_POINTS), budget=5)
+    graph, _ = _graph(_CrashingSearch(_POINTS), budget=5)
     done = graph.ref_port("optimizer", "done")
     report = graph.start(
         RunLimits(max_steps=100_000),
@@ -240,8 +238,8 @@ def test_crashing_search_still_publishes_done(paced):
     ).wait(10.0)
     assert "RuntimeError: no candidates left" in report.errors["optimizer"]
     assert done.read() is True
-    assert evaluator.got_done
     assert graph.is_terminated("evaluator")
+    assert "evaluator" not in report.errors  # it stopped on the closed port
     assert not report.deadlock_detected
 
 
