@@ -2,8 +2,9 @@
 
 Every flag can also be set through the environment with a PROBEOPT_
 prefix (dashes become underscores, e.g. --sleep-ms -> PROBEOPT_SLEEP_MS).
-Explicit flags win over the environment; the environment wins over
-defaults.
+Explicit flags win over the environment, and an empty variable counts as
+unset. The CLI holds no defaults of its own: it forwards only the options
+that were set, and ``ScenarioConfig`` fills in the rest.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ ENV_PREFIX = "PROBEOPT_"
 
 
 def _env(flag: str) -> Optional[str]:
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
+    """The flag's environment value, or None when it is unset or empty."""
+    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_")) or None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,16 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
         required=_env("scenario") is None,
         help="which experiment to run",
     )
-    run_p.add_argument("--seed", type=int, default=_env("seed") or 7)
+    run_p.add_argument("--seed", type=int, default=_env("seed"))
     run_p.add_argument(
         "--budget",
         type=int,
         default=_env("budget"),
         help="evaluations to complete (scenario default if omitted)",
     )
-    run_p.add_argument("--sleep-ms", type=float, default=_env("sleep-ms") or 10.0)
-    run_p.add_argument("--step-ms", type=float, default=_env("step-ms") or 5.0)
-    run_p.add_argument("--sweeps", type=int, default=_env("sweeps") or 200)
+    run_p.add_argument("--sleep-ms", type=float, default=_env("sleep-ms"))
+    run_p.add_argument("--step-ms", type=float, default=_env("step-ms"))
+    run_p.add_argument("--sweeps", type=int, default=_env("sweeps"))
     run_p.add_argument(
         "--out",
         type=Path,
@@ -75,16 +77,11 @@ def _load_problem(path: Path) -> SatelliteProblem:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    options = {
+        k: v for k, v in vars(args).items() if v is not None and k not in ("command", "problem_json")
+    }
     try:
-        cfg = ScenarioConfig(
-            scenario=args.scenario,
-            seed=int(args.seed),
-            budget=None if args.budget is None else int(args.budget),
-            sleep_ms=float(args.sleep_ms),
-            step_ms=float(args.step_ms),
-            sweeps=int(args.sweeps),
-            out=args.out,
-        )
+        cfg = ScenarioConfig(**options)
         if args.problem_json is not None:
             cfg.problem = _load_problem(args.problem_json)
         result = run_scenario(cfg)

@@ -62,8 +62,8 @@ def solver_rng(seed: int, request_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    min_steps: int = 2
-    max_steps: int = 5
+    min_steps: int
+    max_steps: int
 
     def __post_init__(self) -> None:
         if not 1 <= self.min_steps <= self.max_steps:

@@ -15,6 +15,10 @@ Four scenarios over the same two-process graph:
 * ``bo-qubo``: the full asynchronous loop over the satellite-scheduling
   QUBO, paced on a virtual clock so reruns are byte-identical, with
   per-iteration JSONL metrics and a summary report.
+
+Every run setting has its one default in ``ScenarioConfig``; the budget
+and the evaluator latency, which differ by scenario, come from
+``SCENARIO_DEFAULTS``.
 """
 
 from __future__ import annotations
@@ -42,27 +46,20 @@ from ..runtime.timesource import VirtualClock
 from ..runtime.tokens import ParamVector, ResultTuple
 from ..runtime.trace import ListRecorder
 
-SCENARIOS = ("sync-ok", "sync-deadlock", "async-probe", "bo-qubo")
-
-_DEFAULT_BUDGET = {
-    "sync-ok": 3,
-    "sync-deadlock": 3,
-    "async-probe": 10,
-    "bo-qubo": 25,
+# Each scenario's default budget (evaluations to complete) and evaluator
+# service time in steps, (min, max) inclusive.
+SCENARIO_DEFAULTS = {
+    "sync-ok": {"budget": 3, "latency": (1, 1)},
+    "sync-deadlock": {"budget": 3, "latency": (2, 5)},
+    "async-probe": {"budget": 10, "latency": (2, 5)},
+    "bo-qubo": {"budget": 25, "latency": (2, 5)},
 }
+SCENARIOS = tuple(SCENARIO_DEFAULTS)
 
 # Longest a run may take before ``handle.wait`` raises TimeoutError. A
 # would-block channel op is reported as the deadlock at once, so this
 # bounds only a step that never returns.
 RUN_TIMEOUT_S = 150.0
-
-# Evaluator service time in steps, (min, max) inclusive.
-_DEFAULT_LATENCY = {
-    "sync-ok": (1, 1),
-    "sync-deadlock": (2, 5),
-    "async-probe": (2, 5),
-    "bo-qubo": (2, 5),
-}
 
 
 def default_problem() -> SatelliteProblem:
@@ -77,6 +74,9 @@ def default_problem() -> SatelliteProblem:
 
 @dataclass
 class ScenarioConfig:
+    """One run's settings. ``budget`` and ``latency`` left as None take the
+    scenario's entry in ``SCENARIO_DEFAULTS``."""
+
     scenario: str
     seed: int = 7
     budget: Optional[int] = None
@@ -91,7 +91,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
-        if self.budget is not None and self.budget < 1:
+        for name, value in SCENARIO_DEFAULTS[self.scenario].items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
+        if self.budget < 1:
             raise ConfigError(f"--budget must be at least 1, got {self.budget}")
         if self.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {self.seed}")
@@ -108,14 +111,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{flag}: {what} must be nonnegative and finite, got {value:g} ms")
             if paced and value == 0.0:
                 raise ConfigError(f"{flag}: {what} must be positive on the paced bo-qubo run, got 0 ms")
-
-    @property
-    def effective_budget(self) -> int:
-        return self.budget if self.budget is not None else _DEFAULT_BUDGET[self.scenario]
-
-    @property
-    def effective_latency(self) -> tuple[int, int]:
-        return self.latency if self.latency is not None else _DEFAULT_LATENCY[self.scenario]
 
 
 @dataclass
@@ -173,10 +168,9 @@ def _build_graph(
     optimizer: Process,
     step_duration: float,
 ) -> tuple[ProcessGraph, SchedulingEvaluator]:
-    lat = cfg.effective_latency
     eval_config = EvalConfig(
         problem=cfg.problem,
-        latency=LatencyModel(min_steps=lat[0], max_steps=lat[1]),
+        latency=LatencyModel(*cfg.latency),
         solver=AnnealParams(sweeps=cfg.sweeps),
         seed=cfg.seed,
     )
@@ -202,7 +196,7 @@ def _start_and_wait(
 
 def _run_sync(cfg: ScenarioConfig, expect_deadlock: bool) -> ScenarioResult:
     search = BayesSearch(search_space(), seed=cfg.seed)
-    optimizer = BlockingOptimizer("optimizer", search, cfg.effective_budget)
+    optimizer = BlockingOptimizer("optimizer", search, cfg.budget)
     # Lockstep: both rest one tick per turn, so each tick of the clock
     # steps both, in name order.
     optimizer.step_interval = 1.0
@@ -210,13 +204,13 @@ def _run_sync(cfg: ScenarioConfig, expect_deadlock: bool) -> ScenarioResult:
     report = _start_and_wait(cfg, graph, VirtualClock(), ListRecorder())
     completed = optimizer.completed
     if expect_deadlock:
-        ok = report.deadlock_detected and completed < cfg.effective_budget
+        ok = report.deadlock_detected and completed < cfg.budget
     else:
-        ok = not report.deadlock_detected and completed == cfg.effective_budget
+        ok = not report.deadlock_detected and completed == cfg.budget
     summary = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
-        "budget": cfg.effective_budget,
+        "budget": cfg.budget,
         "completed": completed,
         "deadlock_detected": report.deadlock_detected,
         "deadlock_diagnostic": report.deadlock_diagnostic,
@@ -228,9 +222,7 @@ def _run_sync(cfg: ScenarioConfig, expect_deadlock: bool) -> ScenarioResult:
 
 def _run_async(cfg: ScenarioConfig, paced: bool) -> ScenarioResult:
     search = BayesSearch(search_space(), seed=cfg.seed)
-    optimizer = AsyncOptimizer(
-        "optimizer", search, cfg.effective_budget, probe_sleep=cfg.sleep_ms / 1000.0
-    )
+    optimizer = AsyncOptimizer("optimizer", search, cfg.budget, probe_sleep=cfg.sleep_ms / 1000.0)
     graph, evaluator = _build_graph(cfg, optimizer, step_duration=cfg.step_ms / 1000.0)
     recorder = ListRecorder()
     report = _start_and_wait(cfg, graph, VirtualClock() if paced else None, recorder)
@@ -238,7 +230,7 @@ def _run_async(cfg: ScenarioConfig, paced: bool) -> ScenarioResult:
     ok = (
         graph.ref_port("optimizer", "done").read()
         and not report.deadlock_detected
-        and completed == cfg.effective_budget
+        and completed == cfg.budget
         and optimizer.failure is None
         and not report.errors
     )
@@ -247,7 +239,7 @@ def _run_async(cfg: ScenarioConfig, paced: bool) -> ScenarioResult:
     summary = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
-        "budget": cfg.effective_budget,
+        "budget": cfg.budget,
         "completed": completed,
         "deadlock_detected": report.deadlock_detected,
         "best_x": best_row["x"] if best_row else None,
@@ -286,14 +278,10 @@ def _iteration_rows(recorder: ListRecorder) -> list[dict[str, Any]]:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    if cfg.scenario == "sync-ok":
-        result = _run_sync(cfg, expect_deadlock=False)
-    elif cfg.scenario == "sync-deadlock":
-        result = _run_sync(cfg, expect_deadlock=True)
-    elif cfg.scenario == "async-probe":
-        result = _run_async(cfg, paced=False)
+    if cfg.scenario in ("sync-ok", "sync-deadlock"):
+        result = _run_sync(cfg, expect_deadlock=cfg.scenario == "sync-deadlock")
     else:
-        result = _run_async(cfg, paced=True)
+        result = _run_async(cfg, paced=cfg.scenario == "bo-qubo")
     if cfg.out is not None:
         _write_outputs(cfg, result)
     return result

@@ -37,13 +37,7 @@ class AsyncOptimizer(Process):
     k always contains the first k - 1 observations.
     """
 
-    def __init__(
-        self,
-        name: str,
-        search: Any,
-        budget: int,
-        probe_sleep: float = 0.010,
-    ) -> None:
+    def __init__(self, name: str, search: Any, budget: int, probe_sleep: float) -> None:
         super().__init__(name)
         if not 0.0 <= probe_sleep < math.inf:
             raise ConfigError(f"probe sleep must be nonnegative and finite, got {probe_sleep:g} s")

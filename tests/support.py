@@ -53,19 +53,19 @@ def dense_gp_predict(train_x, train_y, signal_var, length_scale, noise_var, quer
 
 
 def ei_reference(mean, var, y_best, xi):
-    """Expected improvement via scipy.stats.norm, scalar math."""
+    """Expected improvement via scipy.stats.norm, over whole arrays.
+
+    Where sigma is 0 the closed form divides by zero; ``np.where`` takes
+    the hinge on the improvement there instead.
+    """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
-    out = np.empty_like(mean)
-    for i in range(mean.shape[0]):
-        sigma = np.sqrt(max(var[i], 0.0))
-        improve = mean[i] - y_best - xi
-        if sigma == 0.0:
-            out[i] = max(improve, 0.0)
-        else:
-            z = improve / sigma
-            out[i] = improve * norm.cdf(z) + sigma * norm.pdf(z)
-    return np.maximum(out, 0.0)
+    sigma = np.sqrt(np.maximum(var, 0.0))
+    improve = mean - y_best - xi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = improve / sigma
+        ei = improve * norm.cdf(z) + sigma * norm.pdf(z)
+    return np.maximum(np.where(sigma == 0.0, np.maximum(improve, 0.0), ei), 0.0)
 
 
 # -- QUBO oracles ---------------------------------------------------------------

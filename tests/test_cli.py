@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,24 @@ import probeopt.cli as cli
 from probeopt.cli import main
 from probeopt.harness.scenarios import default_problem
 from support import problem_to_dict
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches only its own process, so a
+    child interpreter needs the path spelt out."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _clear_env(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
 
 
 def test_sync_ok_exits_zero(capsys):
@@ -77,6 +97,57 @@ def test_cli_flag_beats_env(monkeypatch, tmp_path):
     assert rc == 0
     assert (cli_dir / "summary.json").exists()
     assert not env_dir.exists()
+
+
+def test_parser_holds_no_defaults(monkeypatch):
+    # Every default comes from ScenarioConfig: the parser leaves unset options None.
+    _clear_env(monkeypatch)
+    args = vars(cli.build_parser().parse_args(["run", "--scenario", "bo-qubo"]))
+    assert args.pop("command") == "run" and args.pop("scenario") == "bo-qubo"
+    assert args and all(value is None for value in args.values()), args
+
+
+def test_empty_out_env_writes_nothing(monkeypatch, tmp_path):
+    _clear_env(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PROBEOPT_OUT", "")
+    assert main(["run", "--scenario", "sync-ok", "--budget", "1"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def _bo_run(out, flags):
+    assert main(["run", "--scenario", "bo-qubo", "--out", str(out), *flags]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    del summary["wall_time"]
+    return summary, (out / "iterations.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "variable, flags",
+    [
+        ("PROBEOPT_SEED", ["--budget", "3", "--sweeps", "20"]),
+        ("PROBEOPT_BUDGET", ["--sweeps", "1"]),
+        ("PROBEOPT_SLEEP_MS", ["--budget", "3", "--sweeps", "20"]),
+        ("PROBEOPT_STEP_MS", ["--budget", "3", "--sweeps", "20"]),
+        ("PROBEOPT_SWEEPS", ["--budget", "3"]),
+        ("PROBEOPT_PROBLEM_JSON", ["--budget", "3", "--sweeps", "20"]),
+    ],
+)
+def test_empty_env_acts_as_unset(variable, flags, monkeypatch, tmp_path):
+    _clear_env(monkeypatch)
+    unset = _bo_run(tmp_path / "unset", flags)
+    monkeypatch.setenv(variable, "")
+    assert _bo_run(tmp_path / "empty", flags) == unset
+
+
+def test_empty_scenario_env_acts_as_unset(monkeypatch, capsys):
+    _clear_env(monkeypatch)
+    monkeypatch.setenv("PROBEOPT_SCENARIO", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == 2
+    assert "required: --scenario" in capsys.readouterr().err
+    assert main(["run", "--scenario", "sync-ok", "--budget", "1"]) == 0
 
 
 def test_outputs_and_problem_json(tmp_path):
@@ -192,6 +263,7 @@ def test_module_invocation_smoke():
         capture_output=True,
         text=True,
         timeout=120,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "completed 1/1" in proc.stdout
@@ -285,6 +357,7 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True,
         text=True,
         timeout=120,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

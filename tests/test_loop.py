@@ -201,7 +201,7 @@ def test_pause_skips_probing_until_run():
     graph.issue_command("optimizer", CommandKind.PAUSE)
     time.sleep(0.05)  # let the pause land
     frozen = opt.probe_attempts
-    time.sleep(0.6)  # a pause of many probe sleeps
+    time.sleep(0.1)  # 100 of the 1-ms probe sleeps, ~20 paused turns
     assert opt.probe_attempts == frozen  # paused turns do not probe
     graph.issue_command("optimizer", CommandKind.RUN)
     assert _wait_until(lambda: opt.probe_attempts > frozen)

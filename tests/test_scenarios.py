@@ -15,13 +15,13 @@ def test_unknown_scenario_rejected():
 
 def test_per_scenario_defaults_and_overrides():
     cfg = ScenarioConfig("async-probe")
-    assert cfg.effective_budget == 10
-    assert cfg.effective_latency == (2, 5)
+    assert cfg.budget == 10
+    assert cfg.latency == (2, 5)
     cfg = ScenarioConfig("sync-ok")
-    assert cfg.effective_latency == (1, 1)
+    assert cfg.latency == (1, 1)
     cfg = ScenarioConfig("bo-qubo", budget=4, latency=(1, 1))
-    assert cfg.effective_budget == 4
-    assert cfg.effective_latency == (1, 1)
+    assert cfg.budget == 4
+    assert cfg.latency == (1, 1)
     assert cfg.problem == default_problem()
 
 
