@@ -1,17 +1,18 @@
 """Canned optimizer/evaluator experiments.
 
-Four scenarios over the same two-process graph:
+Four scenarios over the same two-process graph, an evaluator and one of
+the two optimizers of ``probeopt.optimizer``:
 
 * ``sync-ok``: lockstep execution (a virtual clock on which every turn
-  rests one tick) with a blocking optimizer and a single-step evaluator.
-  Completes: each round's request is answered before the optimizer next
-  blocks.
+  rests one tick) with the ``BlockingOptimizer`` and a single-step
+  evaluator. Completes: each round's request is answered before the
+  optimizer next blocks.
 * ``sync-deadlock``: same graph, evaluator latency of two or more steps.
   The optimizer blocks on a result that cannot arrive, and the run
   reports the deadlock at that recv, at once.
 * ``async-probe``: wall-clock time, on which the driver sleeps until
-  each process is due; the optimizer probes and sleeps instead of
-  blocking. Completes regardless of latency.
+  each process is due; the ``AsyncOptimizer`` probes and sleeps instead
+  of blocking. Completes regardless of latency.
 * ``bo-qubo``: the full asynchronous loop over the satellite-scheduling
   QUBO, paced on a virtual clock so reruns are byte-identical, with
   per-iteration JSONL metrics and a summary report.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from ..bo.search import BayesSearch, Observation
+from ..bo.search import BayesSearch
 from ..errors import ConfigError
 from ..evaluator import (
     EvalConfig,
@@ -37,13 +38,17 @@ from ..evaluator import (
     SchedulingEvaluator,
     search_space,
 )
-from ..optimizer.loop import AsyncOptimizer, CANDIDATE_PORT, RESULT_PORT
+from ..optimizer.loop import (
+    CANDIDATE_PORT,
+    RESULT_PORT,
+    AsyncOptimizer,
+    BlockingOptimizer,
+    OptimizerCore,
+)
 from ..qubo.anneal import AnnealParams
 from ..qubo.problem import SatelliteProblem
 from ..runtime.graph import ProcessGraph, RunLimits, RunReport
-from ..runtime.process import Process, ProcessContext
 from ..runtime.timesource import VirtualClock
-from ..runtime.tokens import ParamVector, ResultTuple
 from ..runtime.trace import ListRecorder
 
 # Each scenario's default budget (evaluations to complete) and evaluator
@@ -83,7 +88,7 @@ class ScenarioConfig:
     sleep_ms: float = 10.0
     step_ms: float = 5.0
     sweeps: int = 200
-    max_steps: int = 500_000
+    max_steps: int = RunLimits.max_steps
     out: Optional[Path] = None
     problem: SatelliteProblem = field(default_factory=default_problem)
     latency: Optional[tuple[int, int]] = None
@@ -123,49 +128,12 @@ class ScenarioResult:
     written: list[Path] = field(default_factory=list)
 
 
-class BlockingOptimizer(Process):
-    """Lockstep counterpart of AsyncOptimizer: recv instead of probe.
-
-    Alternates send and receive steps. The receive blocks, which is
-    harmless when the evaluator answers before the optimizer's receive
-    step and fatal when it does not. It has no ``done`` flag: the harness reads its
-    ``completed`` count, and the evaluator stops once this process has
-    finished and its candidate port has closed.
-    """
-
-    def __init__(self, name: str, search: Any, budget: int) -> None:
-        super().__init__(name)
-        self.search = search
-        self.budget = budget
-        self.add_in_port(RESULT_PORT)
-        self.add_out_port(CANDIDATE_PORT)
-        self.completed = 0
-        self._pending: Optional[tuple[float, ...]] = None
-
-    def step(self, ctx: ProcessContext) -> bool:
-        if self._pending is None:
-            x = self.search.suggest()
-            params = ParamVector(tuple(float(v) for v in x))
-            ctx.send(CANDIDATE_PORT, params)
-            self._pending = params.values
-            return False
-        token = ctx.recv(RESULT_PORT)  # blocks until the evaluator answers
-        if isinstance(token, ResultTuple) and token.params == self._pending:
-            self.search.update(Observation(x=token.params, y=token.score))
-            self.completed += 1
-            ctx.emit("iteration", iter=self.completed, x=list(token.params), y=token.score)
-        else:
-            ctx.emit("result_dropped", reason="echo mismatch or bad token")
-        self._pending = None
-        return self.completed >= self.budget
-
-
 # -- graph assembly -----------------------------------------------------------
 
 
 def _build_graph(
     cfg: ScenarioConfig,
-    optimizer: Process,
+    optimizer: OptimizerCore,
     step_duration: float,
 ) -> tuple[ProcessGraph, SchedulingEvaluator]:
     eval_config = EvalConfig(
@@ -290,12 +258,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 def _write_outputs(cfg: ScenarioConfig, result: ScenarioResult) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    if result.rows:
-        rows_path = out / "iterations.jsonl"
-        with rows_path.open("w", encoding="utf-8") as fh:
-            for row in result.rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        result.written.append(rows_path)
+    # Written on every run, empty when no iteration completed, so an earlier
+    # run's rows never sit beside this run's summary.
+    rows_path = out / "iterations.jsonl"
+    with rows_path.open("w", encoding="utf-8") as fh:
+        for row in result.rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    result.written.append(rows_path)
     summary_path = out / "summary.json"
     summary_path.write_text(
         json.dumps(result.summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -1,5 +1,5 @@
-"""Non-blocking optimizer process."""
+"""Optimizer processes: the probing one and its blocking counterpart."""
 
-from .loop import AsyncOptimizer
+from .loop import AsyncOptimizer, BlockingOptimizer
 
-__all__ = ["AsyncOptimizer"]
+__all__ = ["AsyncOptimizer", "BlockingOptimizer"]

@@ -1,18 +1,20 @@
-"""Non-blocking optimizer loop.
+"""The optimizer processes: one core, two ways to wait for a result.
 
-The optimizer never blocks on its result port. Each step does, in order:
-probe the result port and fold in a result if one arrived; finish if the
-budget is met; send the next candidate if none is outstanding; otherwise
-sleep for ``probe_sleep`` seconds. Because the only wait is a bounded
-sleep, the loop cannot deadlock no matter how slow or bursty the
-evaluator is. Run/Pause/Stop are handled by the runtime between steps, as
-for every process, so a Stop is observed within one sleep plus one step.
+Both optimizers share ``OptimizerCore``: one request in flight, echo
+checking, and the ``done`` flag. They differ only in ``loop_step``.
+``AsyncOptimizer`` probes its result port and sleeps for ``probe_sleep``
+while nothing has arrived; because its only wait is a bounded sleep, it
+cannot deadlock however slow or bursty the evaluator is.
+``BlockingOptimizer`` waits in ``recv``, which is harmless when the
+evaluator answers before the optimizer's receive step and a deadlock when
+it does not.
 
-Completion is published once, from ``finish``, which the runtime calls on
-every way out of the run (budget met, Stop, failed peer, crash, step
-limit): a ``done`` flag readable from outside through a reference port,
-pollable without touching any channel. The runtime then closes the
-candidate port, and a peer evaluator stops once it finds that port closed.
+Run/Pause/Stop are handled by the runtime between steps, as for every
+process. Completion is published once, from ``finish``, which the runtime
+calls on every way out of the run: a ``done`` flag readable from outside
+through a reference port, pollable without touching any channel. The
+runtime then closes the candidate port, and a peer evaluator stops once it
+finds that port closed.
 """
 
 from __future__ import annotations
@@ -29,34 +31,31 @@ RESULT_PORT = "result_in"
 CANDIDATE_PORT = "candidates"
 
 
-class AsyncOptimizer(Process):
-    """Drives a suggest/update search over an asynchronous evaluator.
+class OptimizerCore(Process):
+    """Drives a suggest/update search over an evaluator, one request at a time.
 
-    One request is kept in flight at a time: every result is folded into
-    the search before the next suggestion, so the model behind suggestion
-    k always contains the first k - 1 observations.
+    Every result is folded into the search before the next suggestion, so
+    the model behind suggestion k always contains the first k - 1
+    observations. ``probe_attempts`` and ``sleeps`` count a probing
+    optimizer's waits; a blocking one leaves both at 0.
     """
 
-    def __init__(self, name: str, search: Any, budget: int, probe_sleep: float) -> None:
+    def __init__(self, name: str, search: Any, budget: int) -> None:
         super().__init__(name)
-        if not 0.0 <= probe_sleep < math.inf:
-            raise ConfigError(f"probe sleep must be nonnegative and finite, got {probe_sleep:g} s")
         self.search = search
         self.budget = budget
-        self.probe_sleep = probe_sleep
         self.add_in_port(RESULT_PORT)
         self.add_out_port(CANDIDATE_PORT)
         self.expose_ref("done", False)
         self.completed = 0
-        self.in_flight = 0
         self.probe_attempts = 0
         self.sleeps = 0
-        self.failure: Optional[str] = None
         self._pending: Optional[tuple[float, ...]] = None
-        self._probes_delta = 0
-        self._sleeps_delta = 0
+        self._waits_before = (0, 0)  # (probe_attempts, sleeps) at the last iteration
 
-    # -- Process interface ---------------------------------------------------
+    @property
+    def in_flight(self) -> int:
+        return 0 if self._pending is None else 1
 
     def step(self, ctx: ProcessContext) -> bool:
         # loop_step stays a method of its own: perfbench/spans.py times it.
@@ -66,40 +65,10 @@ class AsyncOptimizer(Process):
         """Raise the done flag."""
         ctx.set_ref("done", True)
 
-    # -- the loop --------------------------------------------------------------
-
-    def loop_step(self, ctx: ProcessContext) -> bool:
-        """One probe, fold, suggest or sleep. True once the optimizer is done."""
-        try:
-            probe = ctx.probe(RESULT_PORT)
-            self.probe_attempts += 1
-            self._probes_delta += 1
-            if probe.available and self._accept(ctx, ctx.recv(RESULT_PORT)):
-                return False
-
-            if self.completed >= self.budget:
-                ctx.emit("optimizer_finished", completed=self.completed)
-                return True
-
-            if self.in_flight == 0:
-                x = self.search.suggest()
-                params = ParamVector(tuple(float(v) for v in x))
-                ctx.send(CANDIDATE_PORT, params)
-                self._pending = params.values
-                self.in_flight = 1
-                return False
-
-            if probe.empty and ctx.port_disconnected(RESULT_PORT):
-                return self._fail(ctx, "result port disconnected with a request in flight")
-        except Disconnected as exc:
-            return self._fail(ctx, f"peer disconnected: {exc}")
-
-        self.sleeps += 1
-        self._sleeps_delta += 1
-        ctx.sleep(self.probe_sleep)
-        return False
-
-    # -- helpers ----------------------------------------------------------------
+    def _send_next(self, ctx: ProcessContext) -> None:
+        params = ParamVector(tuple(float(v) for v in self.search.suggest()))
+        ctx.send(CANDIDATE_PORT, params)
+        self._pending = params.values
 
     def _accept(self, ctx: ProcessContext, token: Any) -> bool:
         """Fold in an incoming result. False when it is dropped."""
@@ -117,22 +86,69 @@ class AsyncOptimizer(Process):
         obs = Observation(x=token.params, y=token.score)
         self.search.update(obs)
         self.completed += 1
-        self.in_flight = 0
         self._pending = None
+        probes, sleeps = self._waits_before
         ctx.emit(
             "iteration",
             iter=self.completed,
             x=list(obs.x),
             y=obs.y,
             y_best=self.search.y_best,
-            probe_attempts=self._probes_delta,
-            sleeps=self._sleeps_delta,
+            probe_attempts=self.probe_attempts - probes,
+            sleeps=self.sleeps - sleeps,
         )
-        self._probes_delta = 0
-        self._sleeps_delta = 0
+        self._waits_before = (self.probe_attempts, self.sleeps)
         return True
+
+
+class AsyncOptimizer(OptimizerCore):
+    """Waits for a result by probing its port and sleeping between probes."""
+
+    def __init__(self, name: str, search: Any, budget: int, probe_sleep: float) -> None:
+        super().__init__(name, search, budget)
+        if not 0.0 <= probe_sleep < math.inf:
+            raise ConfigError(f"probe sleep must be nonnegative and finite, got {probe_sleep:g} s")
+        self.probe_sleep = probe_sleep
+        self.failure: Optional[str] = None
+
+    def loop_step(self, ctx: ProcessContext) -> bool:
+        """One probe, fold, suggest or sleep. True once the optimizer is done."""
+        try:
+            probe = ctx.probe(RESULT_PORT)
+            self.probe_attempts += 1
+            if probe.available and self._accept(ctx, ctx.recv(RESULT_PORT)):
+                return False
+
+            if self.completed >= self.budget:
+                ctx.emit("optimizer_finished", completed=self.completed)
+                return True
+
+            if self._pending is None:
+                self._send_next(ctx)
+                return False
+
+            if probe.empty and ctx.port_disconnected(RESULT_PORT):
+                return self._fail(ctx, "result port disconnected with a request in flight")
+        except Disconnected as exc:
+            return self._fail(ctx, f"peer disconnected: {exc}")
+
+        self.sleeps += 1
+        ctx.sleep(self.probe_sleep)
+        return False
 
     def _fail(self, ctx: ProcessContext, reason: str) -> bool:
         self.failure = reason
         ctx.emit("optimizer_failed", reason=reason)
         return True
+
+
+class BlockingOptimizer(OptimizerCore):
+    """Waits for a result in ``recv``: the lockstep counterpart of AsyncOptimizer."""
+
+    def loop_step(self, ctx: ProcessContext) -> bool:
+        """Send a request, or block until its result arrives. True once the budget is met."""
+        if self._pending is None:
+            self._send_next(ctx)
+            return False
+        self._accept(ctx, ctx.recv(RESULT_PORT))  # blocks until the evaluator answers
+        return self.completed >= self.budget

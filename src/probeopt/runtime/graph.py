@@ -60,7 +60,7 @@ _IDLE_PASS_S = 0.0005
 
 @dataclass(frozen=True)
 class RunLimits:
-    max_steps: int = 100_000
+    max_steps: int = 500_000
 
     def __post_init__(self) -> None:
         if self.max_steps <= 0:

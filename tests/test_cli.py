@@ -180,6 +180,18 @@ def test_outputs_and_problem_json(tmp_path):
     assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3, 4]
 
 
+def test_run_never_leaves_an_old_iterations_file(tmp_path):
+    # A run that completes no iteration still writes iterations.jsonl, empty,
+    # so an earlier run's rows never sit beside this run's summary.
+    assert main(["run", "--scenario", "bo-qubo", "--budget", "2", "--out", str(tmp_path)]) == 0
+    rows = tmp_path / "iterations.jsonl"
+    assert len(rows.read_text(encoding="utf-8").splitlines()) == 2
+    assert main(["run", "--scenario", "sync-ok", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary["scenario"] == "sync-ok"
+    assert rows.read_bytes() == b""
+
+
 def test_bad_problem_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Optimizer loop: iteration order, echo checking, run control, done handshake."""
+"""Optimizer loops: iteration order, echo checking, run control, done handshake."""
 
 from __future__ import annotations
 
@@ -8,7 +8,12 @@ import time
 import pytest
 
 from probeopt.errors import ConfigError
-from probeopt.optimizer.loop import AsyncOptimizer, CANDIDATE_PORT, RESULT_PORT
+from probeopt.optimizer.loop import (
+    CANDIDATE_PORT,
+    RESULT_PORT,
+    AsyncOptimizer,
+    BlockingOptimizer,
+)
 from probeopt.runtime.graph import ProcessGraph, RunLimits
 from probeopt.runtime.process import Process, RefPortHandle, RefVar
 from probeopt.runtime.timesource import VirtualClock
@@ -106,16 +111,33 @@ def test_finishes_after_budget_and_publishes_done():
     assert ch[CANDIDATE_PORT].probe().empty  # finish sends nothing: the runtime closes the port
 
 
-def test_echo_mismatch_dropped_with_diagnostic():
-    opt, search, ctx, ch, recorder, _ = _make_optimizer()
-    opt.loop_step(ctx)
+@pytest.mark.parametrize(
+    "make, sleeps",
+    [
+        (lambda search: AsyncOptimizer("opt", search, 3, probe_sleep=0.0005), 1),
+        (lambda search: BlockingOptimizer("opt", search, 3), 0),
+    ],
+    ids=["async", "blocking"],
+)
+def test_echo_mismatch_dropped_with_diagnostic(make, sleeps):
+    # One echo rule for both optimizers: a mismatched result is dropped and
+    # the optimizer keeps waiting for the pending one.
+    search = _ScriptedSearch(_POINTS)
+    opt = make(search)
+    ctx, ch, recorder, _ = wire_standalone(opt)
+    opt.loop_step(ctx)  # sends (0.1, 0.2)
     ch[RESULT_PORT].send(ResultTuple(params=(9.9, 9.9), score=3.0))
+    ch[RESULT_PORT].send(ResultTuple(params=(0.1, 0.2), score=7.0))
     assert opt.loop_step(ctx) is False
-    assert opt.sleeps == 1  # dropped, request still in flight, so it slept
+    assert opt.sleeps == sleeps  # the async loop sleeps while its request is in flight
     assert search.updates == []
     assert opt.completed == 0 and opt.in_flight == 1
     drops = recorder.events("result_dropped")
     assert len(drops) == 1 and drops[0]["reason"] == "echo mismatch"
+    assert opt.loop_step(ctx) is False
+    assert [(o.x, o.y) for o in search.updates] == [((0.1, 0.2), 7.0)]
+    assert opt.completed == 1 and opt.in_flight == 0
+    assert ch[CANDIDATE_PORT].probe().count == 1  # the drop sent no fresh suggestion
 
 
 def test_non_result_token_dropped():
