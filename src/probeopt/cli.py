@@ -96,14 +96,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if result.report.deadlock_detected:
         print(f"{cfg.scenario}: deadlock detected ({result.report.deadlock_diagnostic})")
     else:
+        best = summary["best_y"]
         print(
-            f"{cfg.scenario}: completed {summary.get('completed', 0)}"
-            f"/{summary.get('budget', 0)} evaluations"
-            + (
-                f", best score {summary['best_y']} at {summary['best_x']}"
-                if summary.get("best_y") is not None
-                else ""
-            )
+            f"{cfg.scenario}: completed {summary['completed']}/{summary['budget']} evaluations"
+            + ("" if best is None else f", best score {best} at {summary['best_x']}")
         )
     for path in result.written:
         print(f"wrote {path}")

@@ -2,7 +2,6 @@
 
 from .scenarios import (
     SCENARIOS,
-    BlockingOptimizer,
     ScenarioConfig,
     ScenarioResult,
     default_problem,
@@ -11,7 +10,6 @@ from .scenarios import (
 
 __all__ = [
     "SCENARIOS",
-    "BlockingOptimizer",
     "ScenarioConfig",
     "ScenarioResult",
     "default_problem",

@@ -1,4 +1,4 @@
-"""Canned optimizer/evaluator experiments.
+"""Canned optimizer/evaluator experiments, all run by ``run_scenario``.
 
 Four scenarios over the same two-process graph, an evaluator and one of
 the two optimizers of ``probeopt.optimizer``:
@@ -13,9 +13,15 @@ the two optimizers of ``probeopt.optimizer``:
 * ``async-probe``: wall-clock time, on which the driver sleeps until
   each process is due; the ``AsyncOptimizer`` probes and sleeps instead
   of blocking. Completes regardless of latency.
-* ``bo-qubo``: the full asynchronous loop over the satellite-scheduling
-  QUBO, paced on a virtual clock so reruns are byte-identical, with
-  per-iteration JSONL metrics and a summary report.
+* ``bo-qubo``: the same probing loop paced on a virtual clock, so reruns
+  are byte-identical.
+
+A scenario decides only three things: the optimizer, the time source and
+the expected outcome (a deadlock short of the budget for
+``sync-deadlock``, a clean finish at the budget for the rest). Everything
+else is one path: the evaluator, the wiring, the run's limits and
+timeout, the per-iteration rows, a summary with the same keys for every
+scenario, and the files under ``--out``.
 
 Every run setting has its one default in ``ScenarioConfig``; the budget
 and the evaluator latency, which differ by scenario, come from
@@ -120,22 +126,26 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    scenario: str
     ok: bool
     report: RunReport
     summary: dict[str, Any]
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    rows: list[dict[str, Any]]
     written: list[Path] = field(default_factory=list)
 
 
-# -- graph assembly -----------------------------------------------------------
-
-
-def _build_graph(
-    cfg: ScenarioConfig,
-    optimizer: OptimizerCore,
-    step_duration: float,
-) -> tuple[ProcessGraph, SchedulingEvaluator]:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    """Build, run, judge and report one scenario; write its files under ``cfg.out``."""
+    search = BayesSearch(search_space(), seed=cfg.seed)
+    if cfg.scenario.startswith("sync-"):
+        optimizer: OptimizerCore = BlockingOptimizer("optimizer", search, cfg.budget)
+        # Lockstep: both rest one tick per turn, so each tick of the clock
+        # steps both, in name order.
+        optimizer.step_interval = 1.0
+        step_duration = 1.0
+    else:
+        probe_sleep = cfg.sleep_ms / 1000.0
+        optimizer = AsyncOptimizer("optimizer", search, cfg.budget, probe_sleep=probe_sleep)
+        step_duration = cfg.step_ms / 1000.0
     eval_config = EvalConfig(
         problem=cfg.problem,
         latency=LatencyModel(*cfg.latency),
@@ -148,33 +158,25 @@ def _build_graph(
     graph.add_process(evaluator)
     graph.connect(optimizer.out_port(CANDIDATE_PORT), evaluator.in_port("request_in"), capacity=8)
     graph.connect(evaluator.out_port("result_out"), optimizer.in_port(RESULT_PORT), capacity=8)
-    return graph, evaluator
 
+    clock = None if cfg.scenario == "async-probe" else VirtualClock()
+    recorder = ListRecorder()
+    run = graph.start(RunLimits(max_steps=cfg.max_steps), time_source=clock, recorder=recorder)
+    report = run.wait(RUN_TIMEOUT_S)
 
-# -- scenario runners -----------------------------------------------------------
-
-
-def _start_and_wait(
-    cfg: ScenarioConfig, graph: ProcessGraph, clock: Optional[VirtualClock], recorder: ListRecorder
-) -> RunReport:
-    """Every scenario's run: on ``clock``, or wall time when it is None."""
-    limits = RunLimits(max_steps=cfg.max_steps)
-    return graph.start(limits, time_source=clock, recorder=recorder).wait(RUN_TIMEOUT_S)
-
-
-def _run_sync(cfg: ScenarioConfig, expect_deadlock: bool) -> ScenarioResult:
-    search = BayesSearch(search_space(), seed=cfg.seed)
-    optimizer = BlockingOptimizer("optimizer", search, cfg.budget)
-    # Lockstep: both rest one tick per turn, so each tick of the clock
-    # steps both, in name order.
-    optimizer.step_interval = 1.0
-    graph, _ = _build_graph(cfg, optimizer, step_duration=1.0)
-    report = _start_and_wait(cfg, graph, VirtualClock(), ListRecorder())
     completed = optimizer.completed
-    if expect_deadlock:
+    if cfg.scenario == "sync-deadlock":
         ok = report.deadlock_detected and completed < cfg.budget
     else:
-        ok = not report.deadlock_detected and completed == cfg.budget
+        ok = (
+            graph.ref_port("optimizer", "done").read()
+            and not report.deadlock_detected
+            and completed == cfg.budget
+            and optimizer.failure is None
+            and not report.errors
+        )
+    rows = _iteration_rows(recorder)
+    best_row = max(rows, key=lambda r: r["y"], default=None)
     summary = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
@@ -182,34 +184,6 @@ def _run_sync(cfg: ScenarioConfig, expect_deadlock: bool) -> ScenarioResult:
         "completed": completed,
         "deadlock_detected": report.deadlock_detected,
         "deadlock_diagnostic": report.deadlock_diagnostic,
-        "wall_time": report.wall_time,
-        "ok": ok,
-    }
-    return ScenarioResult(cfg.scenario, ok, report, summary)
-
-
-def _run_async(cfg: ScenarioConfig, paced: bool) -> ScenarioResult:
-    search = BayesSearch(search_space(), seed=cfg.seed)
-    optimizer = AsyncOptimizer("optimizer", search, cfg.budget, probe_sleep=cfg.sleep_ms / 1000.0)
-    graph, evaluator = _build_graph(cfg, optimizer, step_duration=cfg.step_ms / 1000.0)
-    recorder = ListRecorder()
-    report = _start_and_wait(cfg, graph, VirtualClock() if paced else None, recorder)
-    completed = optimizer.completed
-    ok = (
-        graph.ref_port("optimizer", "done").read()
-        and not report.deadlock_detected
-        and completed == cfg.budget
-        and optimizer.failure is None
-        and not report.errors
-    )
-    rows = _iteration_rows(recorder)
-    best_row = max(rows, key=lambda r: r["y"]) if rows else None
-    summary = {
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        "budget": cfg.budget,
-        "completed": completed,
-        "deadlock_detected": report.deadlock_detected,
         "best_x": best_row["x"] if best_row else None,
         "best_y": best_row["y"] if best_row else None,
         "probe_attempts": optimizer.probe_attempts,
@@ -218,7 +192,10 @@ def _run_async(cfg: ScenarioConfig, paced: bool) -> ScenarioResult:
         "wall_time": report.wall_time,
         "ok": ok,
     }
-    return ScenarioResult(cfg.scenario, ok, report, summary, rows=rows)
+    result = ScenarioResult(ok, report, summary, rows)
+    if cfg.out is not None:
+        _write_outputs(cfg, result)
+    return result
 
 
 def _iteration_rows(recorder: ListRecorder) -> list[dict[str, Any]]:
@@ -243,16 +220,6 @@ def _iteration_rows(recorder: ListRecorder) -> list[dict[str, Any]]:
             }
         )
     return rows
-
-
-def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    if cfg.scenario in ("sync-ok", "sync-deadlock"):
-        result = _run_sync(cfg, expect_deadlock=cfg.scenario == "sync-deadlock")
-    else:
-        result = _run_async(cfg, paced=cfg.scenario == "bo-qubo")
-    if cfg.out is not None:
-        _write_outputs(cfg, result)
-    return result
 
 
 def _write_outputs(cfg: ScenarioConfig, result: ScenarioResult) -> None:

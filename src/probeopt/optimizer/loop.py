@@ -37,7 +37,8 @@ class OptimizerCore(Process):
     Every result is folded into the search before the next suggestion, so
     the model behind suggestion k always contains the first k - 1
     observations. ``probe_attempts`` and ``sleeps`` count a probing
-    optimizer's waits; a blocking one leaves both at 0.
+    optimizer's waits, and ``failure`` names why it gave up; a blocking
+    one leaves them at 0, 0 and None.
     """
 
     def __init__(self, name: str, search: Any, budget: int) -> None:
@@ -50,6 +51,7 @@ class OptimizerCore(Process):
         self.completed = 0
         self.probe_attempts = 0
         self.sleeps = 0
+        self.failure: Optional[str] = None
         self._pending: Optional[tuple[float, ...]] = None
         self._waits_before = (0, 0)  # (probe_attempts, sleeps) at the last iteration
 
@@ -109,7 +111,6 @@ class AsyncOptimizer(OptimizerCore):
         if not 0.0 <= probe_sleep < math.inf:
             raise ConfigError(f"probe sleep must be nonnegative and finite, got {probe_sleep:g} s")
         self.probe_sleep = probe_sleep
-        self.failure: Optional[str] = None
 
     def loop_step(self, ctx: ProcessContext) -> bool:
         """One probe, fold, suggest or sleep. True once the optimizer is done."""

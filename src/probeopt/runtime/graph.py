@@ -153,7 +153,7 @@ class ProcessGraph:
         time_source: Optional[TimeSource] = None,
         recorder: Optional[Recorder] = None,
     ) -> "RunHandle":
-        """Start the one run of this graph; its handle's ``wait`` joins it.
+        """Start the one run of this graph and return it; its ``wait`` joins it.
 
         The run's turns wait on ``time_source``, wall-clock time by default.
         """
@@ -162,11 +162,11 @@ class ProcessGraph:
         if self._started:
             raise ConfigError("graph already started")
         self._started = True
-        run = _Run(self, limits, time_source or TimeSource(), recorder or Recorder())
+        run = RunHandle(self, limits, time_source or TimeSource(), recorder or Recorder())
         run.start()
-        return RunHandle(run)
+        return run
 
-    # -- internals shared with _Run ------------------------------------------
+    # -- internals shared with RunHandle ------------------------------------
 
     def _mark_terminated(self, proc: Process) -> None:
         with self._state_lock:
@@ -180,8 +180,9 @@ class ProcessGraph:
                 spec.channel.close_consumer()
 
 
-class _Run:
-    """One execution of a graph: its driver thread and its report."""
+class RunHandle:
+    """One execution of a graph, as ``ProcessGraph.start`` returns it: its
+    driver thread and its report."""
 
     def __init__(
         self,
@@ -327,13 +328,3 @@ class _Run:
             wall_time=self.wall_time,
             errors=dict(self.errors),
         )
-
-
-class RunHandle:
-    """Join handle for a started graph."""
-
-    def __init__(self, run: _Run) -> None:
-        self._run = run
-
-    def wait(self, timeout: Optional[float] = None) -> RunReport:
-        return self._run.wait(timeout)

@@ -186,9 +186,10 @@ def test_run_never_leaves_an_old_iterations_file(tmp_path):
     assert main(["run", "--scenario", "bo-qubo", "--budget", "2", "--out", str(tmp_path)]) == 0
     rows = tmp_path / "iterations.jsonl"
     assert len(rows.read_text(encoding="utf-8").splitlines()) == 2
-    assert main(["run", "--scenario", "sync-ok", "--out", str(tmp_path)]) == 0
+    assert main(["run", "--scenario", "sync-deadlock", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
-    assert summary["scenario"] == "sync-ok"
+    assert summary["scenario"] == "sync-deadlock"
+    assert summary["completed"] == 0
     assert rows.read_bytes() == b""
 
 

@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from probeopt.errors import ConfigError
-from probeopt.harness.scenarios import ScenarioConfig, default_problem, run_scenario
+from probeopt.harness.scenarios import SCENARIOS, ScenarioConfig, default_problem, run_scenario
+
+SUMMARY_KEYS = {
+    "scenario",
+    "seed",
+    "budget",
+    "completed",
+    "deadlock_detected",
+    "deadlock_diagnostic",
+    "best_x",
+    "best_y",
+    "probe_attempts",
+    "sleeps",
+    "evaluations_served",
+    "wall_time",
+    "ok",
+}
 
 
 def test_unknown_scenario_rejected():
@@ -51,3 +69,30 @@ def test_lockstep_scenarios_keep_their_outcome(seed):
     assert stuck.report.deadlock_detected
     assert stuck.report.steps_executed == {"optimizer": 1, "evaluator": 2}
     assert stuck.report.deadlock_diagnostic == "optimizer blocked in recv on optimizer.result_in"
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_summary_has_the_same_keys(scenario, tmp_path):
+    result = run_scenario(ScenarioConfig(scenario, budget=2, out=tmp_path))
+    assert set(result.summary) == SUMMARY_KEYS
+    written = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert set(written) == SUMMARY_KEYS
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_wait_strategy_writes_the_same_rows(seed, tmp_path):
+    # With a one-step evaluator every optimizer sees the same results in the
+    # same order: the lockstep one, the probing one on the virtual clock and
+    # the probing one on the wall clock differ only in how they wait.
+    def written_rows(scenario):
+        out = tmp_path / scenario
+        result = run_scenario(ScenarioConfig(scenario, seed=seed, budget=6, latency=(1, 1), out=out))
+        assert result.ok
+        lines = (out / "iterations.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = [json.loads(line) for line in lines]
+        return [{f: row[f] for f in ("iter", "x", "y", "y_best", "latency_steps")} for row in rows]
+
+    lockstep = written_rows("sync-ok")
+    assert len(lockstep) == 6
+    assert written_rows("bo-qubo") == lockstep
+    assert written_rows("async-probe") == lockstep

@@ -56,4 +56,4 @@ def test_package_constructs_only_the_driver_thread():
         for path in modules
         if (scopes := thread_constructions(path.read_text(encoding="utf-8")))
     }
-    assert found == {"runtime/graph.py": ["_Run.start"]}
+    assert found == {"runtime/graph.py": ["RunHandle.start"]}
