@@ -1,21 +1,23 @@
 """Annealing sweep kernel benchmark: count kernel against the dense definition.
 
-For each conflict-graph instance (12, 54, 226 and 316 nodes) the script
-builds the QUBO exactly as ``probeopt.qubo.anneal.solve`` receives it,
-draws one set of accept rolls from a fixed seed, and times two kernels on
-those same inputs:
+For each conflict-graph instance (12, 54, 226 and 316 nodes) and each
+penalty weight in ``W_PENALTIES`` the script builds the QUBO exactly as
+``probeopt.qubo.anneal.solve`` receives it, draws one set of accept rolls
+from a fixed seed, and times two kernels on those same inputs:
 
 - ``dense``: ``tests/support.dense_sweep_reference`` on the dense form of
   the QUBO, which re-sums the local field over all n columns on every
   flip attempt (O(sweeps * n^2)).
 - ``sparse``: ``probeopt.qubo.kernels.sweep`` on the sparse QUBO, which
   looks each attempt's accept threshold up by the variable's bit and its
-  count of selected neighbours.
+  count of selected neighbours, and skips the sweeps that cannot flip.
 
 It fails unless both return the same best state, final state, final
 energy and best energy, compared with ``==``. Each kernel runs
 ``--repeats`` times; the report gives every run and their median and
-interquartile range, plus the commit, ``nproc``, Python and numpy.
+interquartile range, plus the commit, ``nproc``, Python and numpy. Each
+row also counts the sweeps that flip nothing, an upper bound on the
+sweeps the sparse kernel skips.
 
 Run from the repository root:
 
@@ -51,14 +53,19 @@ from support import dense_sweep_reference, sweep_operands  # noqa: E402
 # (name, instance, sweeps): the CLI default, the perfbench bo-large
 # instance, a many-satellite instance with a narrow view (the candidate
 # headline instance), and a wide-band instance where most requests load
-# several satellites. w_penalty is fractional, as BO proposes it.
+# several satellites.
 INSTANCES = (
     ("3x12", default_problem(), 200),
     ("4x30", SatelliteProblem(n_satellites=4, n_requests=30, view_height=0.5, turn_speed=1.0, seed=7), 200),
     ("8x120", SatelliteProblem(n_satellites=8, n_requests=120, view_height=0.25, turn_speed=1.0, seed=7), 200),
     ("4x120", SatelliteProblem(n_satellites=4, n_requests=120, view_height=0.8, turn_speed=1.0, seed=42), 300),
 )
-W_PENALTY = 2.37
+# Penalty weights, fractional as BO proposes them. At 2.37 the anneal
+# settles and its late sweeps flip nothing, which the sparse kernel skips.
+# At 0.6 a 0 bit with one selected neighbour is downhill and one with two
+# sits a small delta uphill, so on the denser instances moves keep
+# churning down to the last sweep and few sweeps can be skipped.
+W_PENALTIES = (2.37, 0.6)
 
 
 def dense(qubo, temps, uniforms, state, best_state):
@@ -70,10 +77,10 @@ def dense(qubo, temps, uniforms, state, best_state):
 KERNELS = (("dense", dense), ("sparse", sweep))
 
 
-def kernel_inputs(problem, sweeps, seed):
+def kernel_inputs(problem, w_penalty, sweeps, seed):
     """(qubo, temps, uniforms, edge count), prepared as ``solve`` prepares them."""
     graph = build_conflict_graph(generate_geometry(problem), problem)
-    qubo = to_qubo(graph, replace(problem.qubo_weights, w_penalty=W_PENALTY))
+    qubo = to_qubo(graph, replace(problem.qubo_weights, w_penalty=w_penalty))
     temps = temperature_schedule(AnnealParams(sweeps=sweeps))
     uniforms = np.random.default_rng(seed).random((sweeps, graph.n))
     return qubo, temps, uniforms, len(graph.edges)
@@ -103,16 +110,34 @@ def summarize(durations):
     return {"median_s": statistics.median(durations), "iqr_s": iqr, "runs_s": durations}
 
 
-def measure(name, problem, sweeps, repeats, seed):
+def idle_sweeps(qubo, temps, uniforms):
+    """Sweeps that flip nothing, from the all-zeros state.
+
+    Each sweep visits every variable once, so a sweep flipped something
+    exactly when it left a different state; the kernel is stepped one
+    sweep at a time to compare.
+    """
+    state = np.zeros(qubo.n, dtype=np.int64)
+    best_state = np.zeros_like(state)
+    idle = 0
+    for s in range(len(temps)):
+        before = state.tolist()
+        sweep(qubo, temps[s : s + 1], uniforms[s : s + 1], state, best_state)
+        idle += state.tolist() == before
+    return idle
+
+
+def measure(name, problem, w_penalty, sweeps, repeats, seed):
     """One report row; raises RuntimeError if the two kernels disagree."""
-    *inputs, edges = kernel_inputs(problem, sweeps, seed)
-    row = {"instance": name, "nodes": inputs[0].n, "edges": edges, "sweeps": sweeps}
+    *inputs, edges = kernel_inputs(problem, w_penalty, sweeps, seed)
+    row = {"instance": name, "nodes": inputs[0].n, "edges": edges, "w_penalty": w_penalty, "sweeps": sweeps}
+    row["idle_sweeps"] = idle_sweeps(*inputs)
     outputs = {}
     for label, kernel in KERNELS:
         durations, outputs[label] = time_kernel(kernel, inputs, repeats)
         row[label] = summarize(durations)
     if outputs["dense"] != outputs["sparse"]:
-        raise RuntimeError(f"{name}: sparse kernel diverged from the dense reference")
+        raise RuntimeError(f"{name} at w_penalty {w_penalty}: sparse kernel diverged from the dense reference")
     row["bit_identical"] = True
     row["best_energy"] = outputs["sparse"][3]
     row["speedup"] = row["dense"]["median_s"] / row["sparse"]["median_s"]
@@ -139,20 +164,22 @@ def environment():
 def run(instances, repeats, seed):
     rows = []
     for name, problem, sweeps in instances:
-        row = measure(name, problem, sweeps, repeats, seed)
-        print(
-            f"{name:>6}: {row['nodes']:4d} nodes {row['edges']:5d} edges {sweeps} sweeps | "
-            f"dense {row['dense']['median_s'] * 1e3:9.2f} ms (IQR {row['dense']['iqr_s'] * 1e3:.2f}) | "
-            f"sparse {row['sparse']['median_s'] * 1e3:8.3f} ms (IQR {row['sparse']['iqr_s'] * 1e3:.3f}) | "
-            f"x{row['speedup']:.0f}, bit-identical"
-        )
-        rows.append(row)
+        for w_penalty in W_PENALTIES:
+            row = measure(name, problem, w_penalty, sweeps, repeats, seed)
+            print(
+                f"{name:>6} w_penalty {w_penalty:4}: {row['nodes']:4d} nodes {row['edges']:5d} edges "
+                f"{sweeps} sweeps, {row['idle_sweeps']:3d} idle | "
+                f"dense {row['dense']['median_s'] * 1e3:9.2f} ms (IQR {row['dense']['iqr_s'] * 1e3:.2f}) | "
+                f"sparse {row['sparse']['median_s'] * 1e3:8.3f} ms (IQR {row['sparse']['iqr_s'] * 1e3:.3f}) | "
+                f"x{row['speedup']:.0f}, bit-identical"
+            )
+            rows.append(row)
     return {
         "benchmark": "anneal sweep kernel, dense definition vs count-indexed kernel",
         "environment": environment(),
         "repeats": repeats,
         "seed": seed,
-        "w_penalty": W_PENALTY,
+        "w_penalties": list(W_PENALTIES),
         "results": rows,
     }
 

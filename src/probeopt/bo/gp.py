@@ -98,6 +98,18 @@ def gp_fit(
     return GPModel(hyper=hyper, train_x=x, chol_inv=chol_inv, alpha=alpha)
 
 
+def matmul_in_column_blocks(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """``a @ b``, ``width`` columns of ``b`` at a time; bit for bit ``a @ b``
+    when ``width`` and ``b``'s column count are multiples of 8, as every
+    block starts where a tile of the full product's kernel starts."""
+    if width >= b.shape[1]:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for lo in range(0, b.shape[1], width):
+        np.matmul(a, b[:, lo : lo + width], out=out[:, lo : lo + width])
+    return out
+
+
 def gp_predict(model: GPModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of the latent function at (m, d) query points.
 
@@ -106,7 +118,10 @@ def gp_predict(model: GPModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     kstar = kernel_matrix(model.train_x, x, model.hyper)  # (n, m)
     mean = kstar.T @ model.alpha
-    v = model.chol_inv @ kstar
+    # OpenBLAS runs a product of over ~1M multiply-adds on several threads,
+    # which stall for milliseconds on a busy machine; blocks stay below.
+    width = max(8, 2**19 // model.n**2 // 8 * 8)
+    v = matmul_in_column_blocks(model.chol_inv, kstar, width)
     var = model.hyper.signal_var - np.sum(v**2, axis=0)
     np.maximum(var, 0.0, out=var)
     return mean, var

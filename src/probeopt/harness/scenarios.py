@@ -169,8 +169,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         ok = report.deadlock_detected and completed < cfg.budget
     else:
         ok = (
-            graph.ref_port("optimizer", "done").read()
-            and not report.deadlock_detected
+            not report.deadlock_detected
             and completed == cfg.budget
             and optimizer.failure is None
             and not report.errors

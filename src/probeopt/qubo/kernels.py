@@ -28,11 +28,17 @@ neighbour's ``idx`` by 1; integer counts are exact, so every delta,
 accept decision and energy equals the dense loop's bit for bit, while
 ``exp`` runs at most ``2 * (D + 1)`` times per sweep instead of once per
 attempt.
+
+After a sweep with no flip no variable is downhill (those always flip)
+and the state is unchanged, so the next sweep is skipped unless one of
+its rolls is below its largest finite threshold, ``exp(max_neg / t)``
+(``exp`` is monotone). Rolls become Python floats only for sweeps that run.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 
 def sweep(qubo, temps, uniforms, state, best_state):
@@ -55,24 +61,34 @@ def sweep(qubo, temps, uniforms, state, best_state):
     uphill = [(i, -d) for i, d in enumerate(table) if d > 0.0]
 
     x = state.tolist()
+    idx = [bit * stride for bit in x]
     e = 0.0
     for i, row in enumerate(neighbours):
         if x[i]:
             e += -w_reward
             for j in row:
+                idx[j] += 1
                 if j > i and x[j]:
                     e += w_penalty
-    idx = [x[k] * stride + sum(x[j] for j in row) for k, row in enumerate(neighbours)]
     best = e
     best_idx = idx[:]
     exp = math.exp
     thr = [math.inf] * len(table)
-    for t, rolls in zip(temps.tolist(), uniforms.tolist()):
+    ceiling = max((neg for _, neg in uphill), default=-math.inf)
+    n = len(idx)
+    rolls = array("d", uniforms.tobytes())
+    lows = uniforms.min(axis=1).tolist()
+    frozen = False
+    for s, t in enumerate(temps.tolist()):
+        if frozen and lows[s] >= exp(ceiling / t):
+            continue
         for i, neg in uphill:
             thr[i] = exp(neg / t)
-        for k, roll in enumerate(rolls):
+        frozen = True
+        for k, roll in enumerate(rolls[s * n : s * n + n]):
             i = idx[k]
             if roll < thr[i]:
+                frozen = False
                 e += table[i]
                 if i < stride:
                     idx[k] = i + stride

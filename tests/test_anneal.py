@@ -87,20 +87,25 @@ def test_finds_ground_state_on_small_instances():
     assert hits >= 9
 
 
-def _assert_matches_dense_reference(qm, params, seed, start):
+def _kernel_and_reference(qm, temps, uniforms, start):
     """Run the kernel on the sparse QUBO and the dense oracle on its matrix,
-    with identical rolls and start; compare with ==."""
-    n = qm.n
-    temps = temperature_schedule(params)
-    uniforms = np.random.default_rng(seed).random((params.sweeps, n))
+    with identical rolls and start; return both (final state, best state,
+    final energy, best energy)."""
     qdiag, coupling = sweep_operands(qm)
     outputs = []
     for kernel, operands in ((sweep, (qm,)), (dense_sweep_reference, (qdiag, coupling))):
         state = np.array(start, dtype=np.int64)
-        best_state = np.zeros(n, dtype=np.int64)
+        best_state = np.zeros(qm.n, dtype=np.int64)
         final_energy, best_energy = kernel(*operands, temps, uniforms, state, best_state)
         outputs.append((state.tolist(), best_state.tolist(), final_energy, best_energy))
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def _assert_matches_dense_reference(qm, params, seed, start):
+    """Kernel and dense oracle on rolls drawn from ``seed``; compare with ==."""
+    uniforms = np.random.default_rng(seed).random((params.sweeps, qm.n))
+    kernel_out, reference_out = _kernel_and_reference(qm, temperature_schedule(params), uniforms, start)
+    assert kernel_out == reference_out
 
 
 def test_kernel_matches_dense_reference_on_random_qubos():
@@ -169,12 +174,15 @@ def test_kernel_matches_dense_reference_on_conflict_qubos(problem, w_penalty):
 # almost every attempt. Long cold (300 sweeps at t <= 0.1): ~0.4% flip,
 # so thresholds sit far below 1 and counts stay put for many sweeps.
 # Single sweep: one threshold table. Random starts: counts begin from
-# arbitrary selected neighbourhoods.
+# arbitrary selected neighbourhoods. Frozen tail: the state settles early
+# and most later sweeps flip nothing, so the kernel skips them, and a
+# late flip must end the skipping.
 REGIMES = {
     "hot": ((1.0 / 3.0,), AnnealParams(sweeps=40, t_start=25.0, t_end=20.0), False),
     "long-cold": ((1.37,), AnnealParams(sweeps=300, t_start=0.1, t_end=0.05), False),
     "single-sweep": ((2.718281828,), AnnealParams(sweeps=1, t_start=1.7), False),
     "random-start": ((1.0 / 3.0, 1.0 / 6.0, 2.37), AnnealParams(sweeps=30, t_start=2.2), True),
+    "frozen-tail": ((2.37,), AnnealParams(sweeps=300, t_start=2.0, t_end=0.02), True),
 }
 
 
@@ -188,3 +196,34 @@ def test_carried_deltas_match_dense_reference(problem, regime):
         qm = to_qubo(graph, replace(problem.qubo_weights, w_penalty=w_penalty))
         start = rng.integers(0, 2, size=qm.n) if random_start else np.zeros(qm.n, dtype=np.int64)
         _assert_matches_dense_reference(qm, params, int(rng.integers(1 << 30)), start)
+
+
+# Hand-built rolls: every roll 0.999 at a cold temperature, so no uphill
+# move is ever accepted and only downhill variables flip. Each case starts
+# with a downhill variable but rolls no sweep could pass on an uphill one,
+# so a kernel that skipped the sweep would leave it unflipped.
+COLD = AnnealParams(sweeps=6, t_start=0.02, t_end=0.01)
+
+
+def _cold_rolls(n):
+    return np.full((COLD.sweeps, n), 0.999)
+
+
+def test_first_sweep_runs_when_the_start_holds_a_downhill_variable():
+    # Variable 2 is a 0 bit with no selected neighbour: downhill.
+    qm = qubo_on(3, ((0, 1),), w_reward=1.0, w_penalty=2.37)
+    kernel_out, reference_out = _kernel_and_reference(qm, temperature_schedule(COLD), _cold_rolls(3), [1, 0, 0])
+    assert kernel_out == reference_out
+    assert kernel_out[0] == [1, 0, 1]
+
+
+def test_sweep_after_a_last_variable_flip_is_not_skipped():
+    # At w_penalty 0.6 a 1 bit with two selected neighbours is downhill
+    # (delta -0.2) and a 0 bit with one is downhill (-0.4); every other
+    # case is uphill. From [0, 1, 1, 1] only the last variable, 3, is
+    # downhill, and clearing it leaves variable 0 (a 0 bit next to 1 and
+    # 3) with one selected neighbour: downhill in the second sweep.
+    qm = qubo_on(4, ((0, 1), (0, 3), (1, 3), (2, 3)), w_reward=1.0, w_penalty=0.6)
+    kernel_out, reference_out = _kernel_and_reference(qm, temperature_schedule(COLD), _cold_rolls(4), [0, 1, 1, 1])
+    assert kernel_out == reference_out
+    assert kernel_out[0] == [1, 1, 1, 0]

@@ -22,11 +22,14 @@ def test_report_on_tiny_instance():
     report = bench.run(TINY, repeats=2, seed=0)
     json.dumps(report)  # serialisable as written to BENCH_anneal.json
     assert set(report["environment"]) >= {"commit", "nproc", "python", "numpy"}
-    (row,) = report["results"]
-    assert row["bit_identical"] is True
-    for label in ("dense", "sparse"):
-        assert len(row[label]["runs_s"]) == 2
-        assert row[label]["iqr_s"] >= 0.0
+    rows = report["results"]
+    assert [row["w_penalty"] for row in rows] == list(bench.W_PENALTIES)
+    for row in rows:
+        assert row["bit_identical"] is True
+        assert 0 <= row["idle_sweeps"] <= row["sweeps"]
+        for label in ("dense", "sparse"):
+            assert len(row[label]["runs_s"]) == 2
+            assert row[label]["iqr_s"] >= 0.0
 
 
 def test_divergent_kernel_is_rejected(monkeypatch):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from probeopt.bo.gp import GPHyper, gp_fit, gp_predict, kernel_matrix
+from probeopt.bo.gp import GPHyper, gp_fit, gp_predict, kernel_matrix, matmul_in_column_blocks
 from probeopt.errors import DimensionMismatch, NotPositiveDefinite
 from support import dense_gp_predict, sq_exp_kernel
 
@@ -123,6 +123,30 @@ def test_extending_row_by_row_matches_fresh_fit_and_dense_oracle():
         )
         assert np.allclose(mean, oracle_mean, atol=1e-8)
         assert np.allclose(var, oracle_var, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 48, 96, 150, 250])
+def test_column_blocks_match_the_full_product_bit_for_bit(n):
+    # The search predicts at 512 candidates. Any width that is a multiple
+    # of 8, dividing 512 or not, must give the full product's bits, or the
+    # blocking in gp_predict would move the trajectories it feeds.
+    rng = np.random.default_rng(n)
+    a = np.tril(rng.normal(size=(n, n)))
+    b = rng.uniform(size=(n, 512))
+    full = a @ b
+    for width in (8, 24, 40, 96, 200, 504, 512, 1024):
+        assert np.array_equal(matmul_in_column_blocks(a, b, width), full)
+
+
+def test_predict_variance_equals_the_unblocked_product_bit_for_bit():
+    rng = np.random.default_rng(12)
+    hyper = GPHyper(noise_var=1e-4)
+    candidates = rng.uniform(size=(512, 2))
+    for n in (48, 96, 150, 250):
+        model = gp_fit(rng.uniform(size=(n, 2)), rng.normal(size=n), hyper)
+        v = model.chol_inv @ kernel_matrix(model.train_x, candidates, hyper)
+        _, var = gp_predict(model, candidates)
+        assert np.array_equal(var, np.maximum(hyper.signal_var - np.sum(v**2, axis=0), 0.0))
 
 
 def test_extending_with_a_duplicate_without_noise_raises():
