@@ -3,8 +3,9 @@
 The evaluator is deliberately bursty. Each accepted request costs a
 uniformly drawn number of service steps during which the process stays
 busy and does not touch its ports; only on the final step does it run the
-annealing pipeline and send the score back, echoing the request so the
-caller can pair them up. It stops once its request port is empty and
+annealing pipeline and send the score back, echoing the request's id so
+the caller can pair them up. The id also picks the solve's random stream
+(``solver_rng``). It stops once its request port is empty and
 closed: the runtime closes that port when the optimizer finishes.
 
 Scoring is out-of-band reproducible: ``evaluate_params`` with the same
@@ -55,9 +56,13 @@ def latency_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _LATENCY_STREAM]))
 
 
-def solver_rng(seed: int, request_index: int) -> np.random.Generator:
-    """Independent stream per served request, derived from the run seed."""
-    return np.random.default_rng(np.random.SeedSequence([seed, _SOLVER_STREAM, request_index]))
+def solver_rng(seed: int, request: int) -> np.random.Generator:
+    """The solve stream of request id ``request``, derived from the run seed.
+
+    Keyed by the id, not by arrival, so a request scores the same whichever
+    evaluator serves it and whenever.
+    """
+    return np.random.default_rng(np.random.SeedSequence([seed, _SOLVER_STREAM, request]))
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ class SchedulingEvaluator(Process):
         if len(token.values) != PARAM_DIM:
             # Malformed request: answer immediately with a failure score so
             # the sender's loop keeps moving.
-            ctx.send(RESULT_PORT, ResultTuple(params=token.values, score=-1.0))
+            ctx.send(RESULT_PORT, ResultTuple(token.request, -1.0))
             ctx.emit("request_malformed", got=len(token.values), expected=PARAM_DIM)
             return False
         self._current = token
@@ -159,17 +164,17 @@ class SchedulingEvaluator(Process):
 
     def _respond(self, ctx: ProcessContext) -> None:
         assert self._current is not None
-        x = self._current.values
-        rng = solver_rng(self.config.seed, self.served)
+        request, x = self._current.request, self._current.values
+        rng = solver_rng(self.config.seed, request)
         try:
             score = float(evaluate_params(self.config.problem, x, self.config.solver, rng))
         except (ProbeoptError, ValueError) as exc:
             ctx.emit("evaluation_error", error=str(exc))
             score = -1.0
-        ctx.send(RESULT_PORT, ResultTuple(params=x, score=score))
+        ctx.send(RESULT_PORT, ResultTuple(request, score))
         ctx.emit(
             "evaluation",
-            request=self.served,
+            request=request,
             latency=self._latency,
             x=list(x),
             y=score,

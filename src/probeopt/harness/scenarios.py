@@ -198,27 +198,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _iteration_rows(recorder: ListRecorder) -> list[dict[str, Any]]:
-    """Join optimizer iterations with evaluator service records, in order."""
-    iters = recorder.events("iteration")
-    evals = recorder.events("evaluation")
-    rows = []
-    for k, it in enumerate(iters):
-        if k < len(evals) and evals[k]["x"] == it["x"]:
-            latency = evals[k]["latency"]
-        else:  # pragma: no cover - defensive; echo checking keeps these aligned
-            latency = None
-        rows.append(
-            {
-                "iter": it["iter"],
-                "x": it["x"],
-                "y": it["y"],
-                "y_best": it["y_best"],
-                "probe_attempts": it["probe_attempts"],
-                "sleeps": it["sleeps"],
-                "latency_steps": latency,
-            }
-        )
-    return rows
+    """One row per optimizer iteration, in completion order, with the
+    service latency of the request it folded in, joined by request id."""
+    latency = {e["request"]: e["latency"] for e in recorder.events("evaluation")}
+    return [
+        {
+            "iter": it["iter"],
+            "x": it["x"],
+            "y": it["y"],
+            "y_best": it["y_best"],
+            "probe_attempts": it["probe_attempts"],
+            "sleeps": it["sleeps"],
+            "latency_steps": latency.get(it["request"]),
+        }
+        for it in recorder.events("iteration")
+    ]
 
 
 def _write_outputs(cfg: ScenarioConfig, result: ScenarioResult) -> None:

@@ -1,13 +1,13 @@
 """The optimizer processes: one core, two ways to wait for a result.
 
-Both optimizers share ``OptimizerCore``: one request in flight, echo
-checking, and the ``done`` flag. They differ only in ``loop_step``.
-``AsyncOptimizer`` probes its result port and sleeps for ``probe_sleep``
-while nothing has arrived; because its only wait is a bounded sleep, it
-cannot deadlock however slow or bursty the evaluator is.
-``BlockingOptimizer`` waits in ``recv``, which is harmless when the
-evaluator answers before the optimizer's receive step and a deadlock when
-it does not.
+Both optimizers share ``OptimizerCore``: one request in flight, paired
+with its result by request id, and the ``done`` flag. They differ only
+in ``loop_step``. ``AsyncOptimizer`` probes its result port and sleeps
+for ``probe_sleep`` while nothing has arrived; because its only wait is
+a bounded sleep, it cannot deadlock however slow or bursty the
+evaluator is. ``BlockingOptimizer`` waits in ``recv``, which is harmless
+when the evaluator answers before the optimizer's receive step and a
+deadlock when it does not.
 
 Run/Pause/Stop are handled by the runtime between steps, as for every
 process. Completion is published once, from ``finish``, which the runtime
@@ -34,8 +34,10 @@ CANDIDATE_PORT = "candidates"
 class OptimizerCore(Process):
     """Drives a suggest/update search over an evaluator, one request at a time.
 
-    Every result is folded into the search before the next suggestion, so
-    the model behind suggestion k always contains the first k - 1
+    Request k (from 0) carries id k, and only a result with the pending
+    id is folded in, paired with the point the optimizer kept. Every
+    result is folded into the search before the next suggestion, so the
+    model behind suggestion k always contains the first k - 1
     observations. ``probe_attempts`` and ``sleeps`` count a probing
     optimizer's waits, and ``failure`` names why it gave up; a blocking
     one leaves them at 0, 0 and None.
@@ -52,7 +54,7 @@ class OptimizerCore(Process):
         self.probe_attempts = 0
         self.sleeps = 0
         self.failure: Optional[str] = None
-        self._pending: Optional[tuple[float, ...]] = None
+        self._pending: Optional[ParamVector] = None
         self._waits_before = (0, 0)  # (probe_attempts, sleeps) at the last iteration
 
     @property
@@ -68,24 +70,25 @@ class OptimizerCore(Process):
         ctx.set_ref("done", True)
 
     def _send_next(self, ctx: ProcessContext) -> None:
-        params = ParamVector(tuple(float(v) for v in self.search.suggest()))
-        ctx.send(CANDIDATE_PORT, params)
-        self._pending = params.values
+        request = ParamVector(self.completed, tuple(float(v) for v in self.search.suggest()))
+        ctx.send(CANDIDATE_PORT, request)
+        self._pending = request
 
     def _accept(self, ctx: ProcessContext, token: Any) -> bool:
         """Fold in an incoming result. False when it is dropped."""
         if not isinstance(token, ResultTuple):
             ctx.emit("result_dropped", reason=f"unexpected token {type(token).__name__}")
             return False
-        if token.params != self._pending:
+        pending = self._pending
+        if pending is None or token.request != pending.request:
             ctx.emit(
                 "result_dropped",
                 reason="echo mismatch",
-                expected=list(self._pending or ()),
-                got=list(token.params),
+                expected=None if pending is None else pending.request,
+                got=token.request,
             )
             return False
-        obs = Observation(x=token.params, y=token.score)
+        obs = Observation(x=pending.values, y=token.score)
         self.search.update(obs)
         self.completed += 1
         self._pending = None
@@ -93,6 +96,7 @@ class OptimizerCore(Process):
         ctx.emit(
             "iteration",
             iter=self.completed,
+            request=pending.request,
             x=list(obs.x),
             y=obs.y,
             y_best=self.search.y_best,

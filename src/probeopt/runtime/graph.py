@@ -12,16 +12,17 @@ steps every live process once, in name order (the clock's tie-break).
 
 The turn is the only place Run/Pause/Stop are handled, for every
 process: command check, then one step unless the process is paused.
-Commands travel in a plain queue per process. A process leaves the run
-through ``finish`` on every exit path: Stop, its step returning True, a
-crash, the step limit or a deadlock.
+Commands travel in a plain queue per process, which only the driver
+pops. A process leaves the run through ``finish`` on every exit path:
+Stop, its step returning True, a crash, the step limit or a deadlock.
 
 Every channel peer is a process on the one driver thread, so a send on a
 full channel or a recv on an empty one can never complete: the channel
 raises RunAborted at that op, and the report names it. That is how
 lockstep schedules deadlock when one side waits on data the other has
 not produced yet. A run starts that one thread and no other, so only
-``wait(timeout)`` bounds a step that never returns.
+``wait(timeout)`` bounds a step that never returns; its TimeoutError
+names the process whose turn never ended.
 """
 
 from __future__ import annotations
@@ -78,9 +79,8 @@ class RunReport:
 
 class ProcessGraph:
     def __init__(self) -> None:
-        self._procs: dict[str, Process] = {}
-        self._order: list[Process] = []
-        self._channels: list[Channel] = []
+        self._procs: dict[str, Process] = {}  # in registration order
+        self._n_channels = 0
         self._commands: dict[str, deque[CommandKind]] = {}
         self._last_command: dict[str, CommandKind] = {}
         self._terminated: set[str] = set()
@@ -93,7 +93,6 @@ class ProcessGraph:
         if proc.name in self._procs:
             raise ConfigError(f"duplicate process name {proc.name!r}")
         self._procs[proc.name] = proc
-        self._order.append(proc)
         self._commands[proc.name] = deque()
         return proc
 
@@ -109,7 +108,7 @@ class ProcessGraph:
             raise PortAlreadyConnected(f"{src!r} already has a channel")
         if dst.connected:
             raise PortAlreadyConnected(f"{dst!r} already has a channel")
-        cid = f"ch{len(self._channels)}:{src.owner.name}.{src.name}->{dst.owner.name}.{dst.name}"
+        cid = f"ch{self._n_channels}:{src.owner.name}.{src.name}->{dst.owner.name}.{dst.name}"
         channel = Channel(cid, capacity=capacity, blocking=False)
         channel.set_labels(
             src.owner.name,
@@ -119,7 +118,7 @@ class ProcessGraph:
         )
         src.channel = channel
         dst.channel = channel
-        self._channels.append(channel)
+        self._n_channels += 1
         return channel
 
     def ref_port(self, proc_name: str, var_name: str) -> RefPortHandle:
@@ -199,17 +198,15 @@ class RunHandle:
         self.diagnostic: Optional[str] = None
         self.errors: dict[str, str] = {}
         self.ctxs: dict[str, ProcessContext] = {}
+        self.turn: Optional[str] = None  # whose setup or turn ran last; a timeout names it
         self.t_start = 0.0
         self.wall_time = 0.0
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        graph = self.graph
-        for proc in graph._order:
-            self.ctxs[proc.name] = ProcessContext(
-                proc, self.ts, self.recorder, graph._commands[proc.name]
-            )
+        for proc in self.graph._procs.values():
+            self.ctxs[proc.name] = ProcessContext(proc, self.ts, self.recorder)
             # Register every participant before the driver asks for the floor.
             self.ts.register(proc.name)
         self.t_start = time.monotonic()
@@ -220,6 +217,7 @@ class RunHandle:
 
     def _setup(self, proc: Process) -> bool:
         """Run ``proc.setup``. A crash is recorded and finishes the process."""
+        self.turn = proc.name
         try:
             proc.setup(self.ctxs[proc.name])
             return True
@@ -235,7 +233,10 @@ class RunHandle:
         so, a peer disconnected, or the step crashed (recorded in
         ``errors``). RunAborted propagates: it is the deadlock.
         """
-        cmd = ctx.check_command()
+        commands = self.graph._commands[proc.name]
+        cmd = commands.popleft() if commands else None  # only the driver pops: no race
+        if cmd is not None:
+            self.recorder.emit("command", proc=proc.name, command=cmd.value)
         if cmd is CommandKind.STOP:
             return True
         if cmd is CommandKind.PAUSE:
@@ -283,15 +284,17 @@ class RunHandle:
         """
         ts = self.ts
         paused: set[str] = set()
-        live = {proc.name for proc in self.graph._order}
+        procs = self.graph._procs
+        live = set(procs)
         idle: set[str] = set()  # processes that took a paused turn since the last step
         try:
-            for proc in self.graph._order:
+            for proc in procs.values():
                 if not self._setup(proc):
                     ts.unregister(proc.name)
                     live.discard(proc.name)
             while (name := ts.floor()) is not None:
-                proc, ctx = self.graph._procs[name], self.ctxs[name]
+                proc, ctx = procs[name], self.ctxs[name]
+                self.turn = name
                 ts.gate(name)
                 if ctx.steps >= self.limits.max_steps or self._turn(proc, ctx, paused):
                     self._finish_proc(proc)
@@ -311,7 +314,7 @@ class RunHandle:
             log.warning("run deadlocked: %s", self.diagnostic)
             self.recorder.emit("deadlock", diagnostic=self.diagnostic)
         finally:
-            for proc in self.graph._order:
+            for proc in procs.values():
                 self._finish_proc(proc)
             self.wall_time = time.monotonic() - self.t_start
 
@@ -320,7 +323,7 @@ class RunHandle:
     def wait(self, timeout: Optional[float] = None) -> RunReport:
         self.driver.join(timeout)
         if self.driver.is_alive():
-            raise TimeoutError(f"run did not finish within {timeout}s")
+            raise TimeoutError(f"run did not finish within {timeout}s: stuck in {self.turn}'s turn")
         return RunReport(
             steps_executed={name: ctx.steps for name, ctx in self.ctxs.items()},
             deadlock_detected=self.deadlock,

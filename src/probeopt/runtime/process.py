@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import threading
-from collections import deque
 from enum import Enum
 from typing import Any, Optional
 
 from ..errors import ConfigError, DirectionMismatch
 from .channel import Channel, ProbeResult
 from .timesource import TimeSource
-from .tokens import CommandKind, Token
+from .tokens import Token
 from .trace import Recorder
 
 
@@ -137,17 +136,10 @@ class Process:
 class ProcessContext:
     """Everything a process may touch while running."""
 
-    def __init__(
-        self,
-        proc: Process,
-        time_source: TimeSource,
-        recorder: Recorder,
-        commands: deque[CommandKind],
-    ) -> None:
+    def __init__(self, proc: Process, time_source: TimeSource, recorder: Recorder) -> None:
         self._proc = proc
         self._time = time_source
         self._recorder = recorder
-        self._commands = commands
         self.steps = 0
 
     @property
@@ -180,18 +172,6 @@ class ProcessContext:
 
     def sleep(self, duration: float) -> None:
         self._time.sleep(self._proc.name, duration)
-
-    def check_command(self) -> Optional[CommandKind]:
-        """Pop the oldest Run/Pause/Stop from this process's command queue.
-
-        The queue is a plain deque that ``graph.issue_command`` appends to;
-        the runtime pops it once per turn. Never blocks; None when empty.
-        """
-        if not self._commands:  # only this process's driver pops: no race
-            return None
-        kind = self._commands.popleft()
-        self._recorder.emit("command", proc=self._proc.name, command=kind.value)
-        return kind
 
     def set_ref(self, name: str, value: Any) -> None:
         self._proc.refs[name].write(value)

@@ -20,20 +20,22 @@ class CommandKind(Enum):
 
 @dataclass(frozen=True)
 class ParamVector:
-    """A point in the search space, sent optimizer -> evaluator."""
+    """A point in the search space, sent optimizer -> evaluator.
 
+    ``request`` numbers the request within its run, from 0. It is the one
+    key that pairs a request with its result, seeds the solve that scores
+    it and joins its rows.
+    """
+
+    request: int
     values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class ResultTuple:
-    """An evaluated point, sent evaluator -> optimizer.
+    """The score of request ``request``, sent evaluator -> optimizer."""
 
-    ``params`` echoes the request so the receiver can pair results with
-    requests without trusting arrival order alone.
-    """
-
-    params: tuple[float, ...]
+    request: int
     score: float
 
 

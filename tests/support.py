@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,9 +254,8 @@ def lockstep(*procs):
 def wire_standalone(proc: Process, capacity: int = 16, on_probe=lambda: None):
     """Attach bare channels to a process's ports and build it a context.
 
-    Returns (ctx, channels, recorder, commands): channels maps port name ->
-    Channel, commands is the context's command queue. The far end of each
-    channel is the test itself. ``on_probe`` is called on every
+    Returns (ctx, channels, recorder): channels maps port name -> Channel.
+    The far end of each channel is the test itself. ``on_probe`` is called on every
     ``ctx.probe``.
     """
     channels = {}
@@ -266,8 +264,7 @@ def wire_standalone(proc: Process, capacity: int = 16, on_probe=lambda: None):
         spec.channel = ch
         channels[name] = ch
     recorder = ListRecorder()
-    commands = deque()
-    ctx = ProcessContext(proc, TimeSource(), recorder, commands)
+    ctx = ProcessContext(proc, TimeSource(), recorder)
     probe = ctx.probe
 
     def counted_probe(port_name):
@@ -275,7 +272,7 @@ def wire_standalone(proc: Process, capacity: int = 16, on_probe=lambda: None):
         return probe(port_name)
 
     ctx.probe = counted_probe
-    return ctx, channels, recorder, commands
+    return ctx, channels, recorder
 
 
 def await_done(ref_port, poll_interval: float = 0.005, timeout: float = 30.0) -> str:

@@ -119,7 +119,7 @@ def test_port_disconnected_reads_the_peer_and_rejects_an_unknown_port():
     proc = Process("p")
     proc.add_in_port("req")
     proc.add_out_port("res")
-    ctx, ch, _, _ = wire_standalone(proc)
+    ctx, ch, _ = wire_standalone(proc)
     proc.add_in_port("spare")  # added after wiring: never connected
     assert not ctx.port_disconnected("req")
     assert not ctx.port_disconnected("res")

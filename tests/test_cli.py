@@ -7,11 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import probeopt.cli as cli
+import probeopt.evaluator as evaluator_mod
+import probeopt.harness.scenarios as scenarios
 from probeopt.cli import main
 from probeopt.harness.scenarios import default_problem
 from support import problem_to_dict
@@ -345,14 +348,26 @@ def test_async_probe_keeps_zero_sleep(capsys):
 
 
 def test_run_timeout_exits_three(monkeypatch, capsys):
-    def overrun(cfg):
-        raise TimeoutError("run did not finish within 150.0s")
+    """A solve that never returns: the exit-3 line names whose turn it was."""
+    release = threading.Event()
+    real = evaluator_mod.evaluate_params
 
-    monkeypatch.setattr(cli, "run_scenario", overrun)
-    rc = main(["run", "--scenario", "bo-qubo"])
+    def stuck(*args):
+        release.wait()
+        return real(*args)
+
+    monkeypatch.setattr(scenarios, "RUN_TIMEOUT_S", 0.3)
+    monkeypatch.setattr(evaluator_mod, "evaluate_params", stuck)
+    try:
+        rc = main(["run", "--scenario", "bo-qubo", "--budget", "1"])
+    finally:
+        release.set()
+        for thread in threading.enumerate():
+            if thread.name == "driver":
+                thread.join(10.0)
     assert rc == 3
     err = capsys.readouterr().err
-    assert "timed out" in err and "150.0s" in err
+    assert "error: run timed out: run did not finish within 0.3s: stuck in evaluator's turn" in err
 
 
 def test_bo_qubo_seed_7_trajectory_is_pinned(tmp_path):

@@ -67,8 +67,8 @@ def test_busy_phase_counts_and_no_probing_while_busy():
     cfg = _config(seed=3, lat=(3, 3))  # fixed latency of three steps
     ev = SchedulingEvaluator("ev", cfg)
     probes = []
-    ctx, ch, recorder, _ = wire_standalone(ev, on_probe=lambda: probes.append(1))
-    ch["request_in"].send(ParamVector((2.0, 2.0)))
+    ctx, ch, recorder = wire_standalone(ev, on_probe=lambda: probes.append(1))
+    ch["request_in"].send(ParamVector(0, (2.0, 2.0)))
     assert ev.step(ctx) is False  # receipt step: probes once, recvs
     assert len(probes) == 1
     assert ev.step(ctx) is False  # busy
@@ -78,16 +78,16 @@ def test_busy_phase_counts_and_no_probing_while_busy():
     assert len(probes) == 1
     result = ch["result_out"].recv()
     assert isinstance(result, ResultTuple)
-    assert result.params == (2.0, 2.0)
+    assert result.request == 0
     served = recorder.events("evaluation")
-    assert len(served) == 1 and served[0]["latency"] == 3
+    assert len(served) == 1 and served[0]["latency"] == 3 and served[0]["request"] == 0
 
 
 def test_single_step_latency_responds_on_receipt_step():
     cfg = _config(seed=3, lat=(1, 1))
     ev = SchedulingEvaluator("ev", cfg)
-    ctx, ch, _, _ = wire_standalone(ev)
-    ch["request_in"].send(ParamVector((2.0, 2.0)))
+    ctx, ch, _ = wire_standalone(ev)
+    ch["request_in"].send(ParamVector(0, (2.0, 2.0)))
     ev.step(ctx)
     assert ch["result_out"].probe().count == 1
 
@@ -97,15 +97,38 @@ def test_reply_matches_out_of_band_pipeline():
     derived generator: the process is a thin wrapper, not a variant."""
     cfg = _config(seed=11, lat=(1, 1), sweeps=40)
     ev = SchedulingEvaluator("ev", cfg)
-    ctx, ch, _, _ = wire_standalone(ev)
+    ctx, ch, _ = wire_standalone(ev)
     xs = [(2.0, 2.0), (0.7, 4.5), (7.5, 0.6)]
     for k, x in enumerate(xs):
-        ch["request_in"].send(ParamVector(x))
+        ch["request_in"].send(ParamVector(k, x))
         ev.step(ctx)
         reply = ch["result_out"].recv()
         expected = evaluate_params(cfg.problem, x, cfg.solver, solver_rng(11, k))
         assert reply.score == float(expected)
-        assert reply.params == x
+        assert reply.request == k
+
+
+def test_each_solve_is_seeded_by_its_request_id():
+    """Ids sent out of order: each reply echoes its id and draws that id's
+    solver stream, not the count of requests served before it."""
+    large = SatelliteProblem(n_satellites=4, n_requests=30, view_height=0.5, turn_speed=1.0, seed=7)
+    cfg = replace(_config(seed=11, lat=(1, 1), sweeps=40), problem=large)
+    sent = [(3, (2.0, 2.0)), (1, (7.5, 0.6))]
+    # Served first, request 3 would draw stream 0 if seeded by serve order.
+    first = [evaluate_params(large, sent[0][1], cfg.solver, solver_rng(11, k)) for k in (3, 0)]
+    assert first[0] != first[1]
+    ev = SchedulingEvaluator("ev", cfg)
+    ctx, ch, recorder = wire_standalone(ev)
+    for request, x in sent:
+        ch["request_in"].send(ParamVector(request, x))
+        ev.step(ctx)
+        reply = ch["result_out"].recv()
+        assert reply.request == request
+        assert reply.score == float(
+            evaluate_params(cfg.problem, x, cfg.solver, solver_rng(11, request))
+        )
+    assert [e["request"] for e in recorder.events("evaluation")] == [3, 1]
+    assert ev.served == 2
 
 
 def test_latency_sequence_reproducible_per_seed():
@@ -114,9 +137,9 @@ def test_latency_sequence_reproducible_per_seed():
     seqs = []
     for _ in range(2):
         ev = SchedulingEvaluator("ev", cfg)
-        ctx, ch, recorder, _ = wire_standalone(ev)
-        for _k in range(4):
-            ch["request_in"].send(ParamVector((2.0, 2.0)))
+        ctx, ch, recorder = wire_standalone(ev)
+        for k in range(4):
+            ch["request_in"].send(ParamVector(k, (2.0, 2.0)))
             while ch["result_out"].probe().empty:
                 ev.step(ctx)
             ch["result_out"].recv()
@@ -127,15 +150,15 @@ def test_latency_sequence_reproducible_per_seed():
 
 def test_malformed_request_gets_failure_reply():
     ev = SchedulingEvaluator("ev", _config())
-    ctx, ch, recorder, _ = wire_standalone(ev)
-    ch["request_in"].send(ParamVector((1.0, 2.0, 3.0)))  # wrong width
+    ctx, ch, recorder = wire_standalone(ev)
+    ch["request_in"].send(ParamVector(4, (1.0, 2.0, 3.0)))  # wrong width
     assert ev.step(ctx) is False
     reply = ch["result_out"].recv()
-    assert reply.params == (1.0, 2.0, 3.0)
+    assert reply.request == 4
     assert reply.score == -1.0
     assert recorder.events("request_malformed")
     # The evaluator is immediately ready for well-formed work again.
-    ch["request_in"].send(ParamVector((2.0, 2.0)))
+    ch["request_in"].send(ParamVector(5, (2.0, 2.0)))
     while ch["result_out"].probe().empty:
         ev.step(ctx)
     assert ch["result_out"].recv().score >= 0.0
@@ -143,7 +166,7 @@ def test_malformed_request_gets_failure_reply():
 
 def test_non_param_token_dropped_without_reply():
     ev = SchedulingEvaluator("ev", _config())
-    ctx, ch, recorder, _ = wire_standalone(ev)
+    ctx, ch, recorder = wire_standalone(ev)
     ch["request_in"].send(Scalar(3.0))
     assert ev.step(ctx) is False
     assert ch["result_out"].probe().empty
@@ -152,21 +175,21 @@ def test_non_param_token_dropped_without_reply():
 
 def test_stops_once_request_port_closes():
     ev = SchedulingEvaluator("ev", _config())
-    ctx, ch, _, _ = wire_standalone(ev)
+    ctx, ch, _ = wire_standalone(ev)
     assert ev.step(ctx) is False  # open and empty: more may come
-    ch["request_in"].send(ParamVector((2.0, 2.0)))
+    ch["request_in"].send(ParamVector(0, (2.0, 2.0)))
     ch["request_in"].close_producer()
     # A request queued before the close is still served in full ...
     while ch["result_out"].probe().empty:
         assert ev.step(ctx) is False
-    assert ch["result_out"].recv().params == (2.0, 2.0)
+    assert ch["result_out"].recv().request == 0
     # ... and the next step, on the empty closed port, stops.
     assert ev.step(ctx) is True
 
 
 def test_idle_exit_when_producer_gone():
     ev = SchedulingEvaluator("ev", _config())
-    ctx, ch, _, _ = wire_standalone(ev)
+    ctx, ch, _ = wire_standalone(ev)
     assert ev.step(ctx) is False  # idle but the producer may still appear
     ch["request_in"].close_producer()
     assert ev.step(ctx) is True
@@ -213,9 +236,9 @@ def test_graph_built_once_per_problem_across_requests(monkeypatch):
     built = _count_builds(monkeypatch)
     cfg = _config(seed=5, lat=(1, 1), sweeps=10)
     ev = SchedulingEvaluator("ev", cfg)
-    ctx, ch, _, _ = wire_standalone(ev)
-    for x in [(2.0, 2.0), (0.7, 4.5), (7.5, 0.6), (3.3, 1.1)]:
-        ch["request_in"].send(ParamVector(x))
+    ctx, ch, _ = wire_standalone(ev)
+    for k, x in enumerate([(2.0, 2.0), (0.7, 4.5), (7.5, 0.6), (3.3, 1.1)]):
+        ch["request_in"].send(ParamVector(k, x))
         ev.step(ctx)
         ch["result_out"].recv()
     assert ev.served == 4

@@ -526,28 +526,53 @@ def test_recv_after_producer_finished_disconnects_not_deadlocks(clock, tick):
 
 
 class _Hang(Process):
-    """Blocks inside its first step until the test releases it."""
+    """Blocks inside its setup or its first step until the test releases it."""
 
-    def __init__(self, name):
+    def __init__(self, name, where="step"):
         super().__init__(name)
+        self.where = where
         self.release = threading.Event()
+
+    def setup(self, ctx):
+        if self.where == "setup":
+            self.release.wait()
 
     def step(self, ctx):
         self.release.wait()
         return True
 
 
+class _Once(Process):
+    """Finishes in its first step."""
+
+    def step(self, ctx):
+        return True
+
+
 @pytest.mark.parametrize("clock", [TimeSource, VirtualClock], ids=["wall", "paced"])
 def test_step_that_never_returns_is_bounded_by_wait_timeout(clock):
-    """Outside a channel op nothing reports a hung step: ``wait`` times out."""
+    """Outside a channel op nothing reports a hung step: ``wait`` times out,
+    naming the process whose turn never ended, not the one before it."""
     graph = ProcessGraph()
     hang = graph.add_process(_Hang("hang"))
+    graph.add_process(_Once("finisher"))  # takes its one turn first, by name
     handle = graph.start(RunLimits(max_steps=10), time_source=clock())
     t0 = time.monotonic()
-    with pytest.raises(TimeoutError, match="within 0.3s"):
+    with pytest.raises(TimeoutError, match="within 0.3s: stuck in hang's turn"):
         handle.wait(0.3)
     assert time.monotonic() - t0 < 1.0
     hang.release.set()
     report = handle.wait(5.0)
     assert not report.deadlock_detected and not report.errors
-    assert report.steps_executed == {"hang": 1}
+    assert report.steps_executed == {"finisher": 1, "hang": 1}
+
+
+def test_setup_that_never_returns_names_its_process():
+    graph = ProcessGraph()
+    graph.add_process(_Once("finisher"))  # set up first
+    hang = graph.add_process(_Hang("hang", where="setup"))
+    handle = graph.start(RunLimits(max_steps=10), time_source=VirtualClock())
+    with pytest.raises(TimeoutError, match="stuck in hang's turn"):
+        handle.wait(0.2)
+    hang.release.set()
+    assert handle.wait(5.0).steps_executed == {"finisher": 1, "hang": 1}

@@ -48,22 +48,22 @@ _POINTS = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8)]
 def _make_optimizer(budget=3, sleep=0.0005):
     search = _ScriptedSearch(_POINTS)
     opt = AsyncOptimizer("opt", search, budget, probe_sleep=sleep)
-    ctx, channels, recorder, commands = wire_standalone(opt)
-    return opt, search, ctx, channels, recorder, commands
+    ctx, channels, recorder = wire_standalone(opt)
+    return opt, search, ctx, channels, recorder
 
 
 def test_first_iteration_suggests():
-    opt, search, ctx, ch, _, _ = _make_optimizer()
+    opt, search, ctx, ch, _ = _make_optimizer()
     assert opt.loop_step(ctx) is False
     assert ch[CANDIDATE_PORT].probe().count == 1
     token = ch[CANDIDATE_PORT].recv()
-    assert token == ParamVector((0.1, 0.2))
+    assert token == ParamVector(0, (0.1, 0.2))
     assert opt.in_flight == 1
     assert opt.sleeps == 0  # a suggesting step does not sleep
 
 
 def test_sleeps_while_request_outstanding():
-    opt, _, ctx, _, _, _ = _make_optimizer()
+    opt, _, ctx, _, _ = _make_optimizer()
     opt.loop_step(ctx)  # suggest
     assert opt.loop_step(ctx) is False
     assert opt.loop_step(ctx) is False
@@ -72,9 +72,9 @@ def test_sleeps_while_request_outstanding():
 
 
 def test_forwards_result_and_updates_search():
-    opt, search, ctx, ch, _, _ = _make_optimizer()
+    opt, search, ctx, ch, _ = _make_optimizer()
     opt.loop_step(ctx)
-    ch[RESULT_PORT].send(ResultTuple(params=(0.1, 0.2), score=7.0))
+    ch[RESULT_PORT].send(ResultTuple(0, 7.0))
     assert opt.loop_step(ctx) is False
     assert len(search.updates) == 1
     assert search.updates[0].x == (0.1, 0.2) and search.updates[0].y == 7.0
@@ -83,23 +83,24 @@ def test_forwards_result_and_updates_search():
 
 
 def test_at_most_one_recv_per_iteration():
-    opt, search, ctx, ch, _, _ = _make_optimizer(budget=5)
+    opt, search, ctx, ch, _ = _make_optimizer(budget=5)
     opt.loop_step(ctx)
     # Queue several results; only the head may be consumed per iteration.
-    ch[RESULT_PORT].send(ResultTuple(params=(0.1, 0.2), score=1.0))
-    ch[RESULT_PORT].send(ResultTuple(params=(0.3, 0.4), score=2.0))
+    ch[RESULT_PORT].send(ResultTuple(0, 1.0))
+    ch[RESULT_PORT].send(ResultTuple(1, 2.0))
     opt.loop_step(ctx)
     assert len(search.updates) == 1
     assert ch[RESULT_PORT].probe().count == 1  # second result still queued
 
 
 def test_finishes_after_budget_and_publishes_done():
-    opt, search, ctx, ch, _, _ = _make_optimizer(budget=2)
+    opt, search, ctx, ch, _ = _make_optimizer(budget=2)
     done = RefPortHandle(opt.refs["done"])
     for k in range(2):
         assert opt.loop_step(ctx) is False  # suggests
         sent = ch[CANDIDATE_PORT].recv()
-        ch[RESULT_PORT].send(ResultTuple(params=sent.values, score=float(k)))
+        assert sent.request == k  # ids count completed requests from 0
+        ch[RESULT_PORT].send(ResultTuple(sent.request, float(k)))
         assert opt.loop_step(ctx) is False  # folds the result in
         assert opt.completed == k + 1
     assert opt.loop_step(ctx) is True
@@ -120,28 +121,31 @@ def test_finishes_after_budget_and_publishes_done():
     ids=["async", "blocking"],
 )
 def test_echo_mismatch_dropped_with_diagnostic(make, sleeps):
-    # One echo rule for both optimizers: a mismatched result is dropped and
-    # the optimizer keeps waiting for the pending one.
+    # One echo rule for both optimizers: a result for any id but the pending
+    # one is dropped, and the optimizer keeps waiting for the pending one.
     search = _ScriptedSearch(_POINTS)
     opt = make(search)
-    ctx, ch, recorder, _ = wire_standalone(opt)
-    opt.loop_step(ctx)  # sends (0.1, 0.2)
-    ch[RESULT_PORT].send(ResultTuple(params=(9.9, 9.9), score=3.0))
-    ch[RESULT_PORT].send(ResultTuple(params=(0.1, 0.2), score=7.0))
+    ctx, ch, recorder = wire_standalone(opt)
+    opt.loop_step(ctx)  # sends request 0, at (0.1, 0.2)
+    ch[RESULT_PORT].send(ResultTuple(5, 3.0))  # a stale id
+    ch[RESULT_PORT].send(ResultTuple(0, 7.0))
     assert opt.loop_step(ctx) is False
     assert opt.sleeps == sleeps  # the async loop sleeps while its request is in flight
     assert search.updates == []
     assert opt.completed == 0 and opt.in_flight == 1
     drops = recorder.events("result_dropped")
     assert len(drops) == 1 and drops[0]["reason"] == "echo mismatch"
+    assert (drops[0]["expected"], drops[0]["got"]) == (0, 5)
     assert opt.loop_step(ctx) is False
+    # The point comes from the optimizer's own pending request.
     assert [(o.x, o.y) for o in search.updates] == [((0.1, 0.2), 7.0)]
+    assert [e["request"] for e in recorder.events("iteration")] == [0]
     assert opt.completed == 1 and opt.in_flight == 0
     assert ch[CANDIDATE_PORT].probe().count == 1  # the drop sent no fresh suggestion
 
 
 def test_non_result_token_dropped():
-    opt, search, ctx, ch, recorder, _ = _make_optimizer()
+    opt, search, ctx, ch, recorder = _make_optimizer()
     opt.loop_step(ctx)
     ch[RESULT_PORT].send(Scalar(1.0))
     assert opt.loop_step(ctx) is False
@@ -151,7 +155,7 @@ def test_non_result_token_dropped():
 
 
 def test_disconnect_with_request_in_flight_fails_loudly():
-    opt, _, ctx, ch, recorder, _ = _make_optimizer()
+    opt, _, ctx, ch, recorder = _make_optimizer()
     opt.loop_step(ctx)
     ch[RESULT_PORT].close_producer()
     assert opt.loop_step(ctx) is True
@@ -194,7 +198,7 @@ class _Echo(Process):
         if ctx.probe("request_in").empty:
             return ctx.port_disconnected("request_in")
         token = ctx.recv("request_in")
-        ctx.send("result_out", ResultTuple(params=token.values, score=sum(token.values)))
+        ctx.send("result_out", ResultTuple(token.request, sum(token.values)))
         return False
 
 

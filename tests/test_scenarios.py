@@ -7,7 +7,14 @@ import json
 import pytest
 
 from probeopt.errors import ConfigError
-from probeopt.harness.scenarios import SCENARIOS, ScenarioConfig, default_problem, run_scenario
+from probeopt.harness.scenarios import (
+    SCENARIOS,
+    ScenarioConfig,
+    _iteration_rows,
+    default_problem,
+    run_scenario,
+)
+from probeopt.runtime.trace import ListRecorder
 
 SUMMARY_KEYS = {
     "scenario",
@@ -96,3 +103,20 @@ def test_every_wait_strategy_writes_the_same_rows(seed, tmp_path):
     assert len(lockstep) == 6
     assert written_rows("bo-qubo") == lockstep
     assert written_rows("async-probe") == lockstep
+
+
+def test_rows_take_their_latency_by_request_id():
+    """Service records in another order than the iterations: each row still
+    gets the latency of the request it folded in."""
+    recorder = ListRecorder()
+    recorder.emit("evaluation", request=1, latency=5, x=[0.3, 0.4], y=2.0)
+    recorder.emit("evaluation", request=0, latency=2, x=[0.1, 0.2], y=1.0)
+    for k, (x, y) in enumerate([([0.1, 0.2], 1.0), ([0.3, 0.4], 2.0)]):
+        recorder.emit(
+            "iteration", iter=k + 1, request=k, x=x, y=y, y_best=y, probe_attempts=1, sleeps=0
+        )
+    rows = _iteration_rows(recorder)
+    assert [(r["iter"], r["x"], r["latency_steps"]) for r in rows] == [
+        (1, [0.1, 0.2], 2),
+        (2, [0.3, 0.4], 5),
+    ]
