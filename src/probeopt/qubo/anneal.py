@@ -34,15 +34,19 @@ def temperature_schedule(params: AnnealParams) -> np.ndarray:
 
 
 def solve(qubo: ConflictQubo, params: AnnealParams, rng: np.random.Generator) -> np.ndarray:
-    """Anneal from the all-zeros state; return the best state visited, int64 0/1.
+    """Anneal from the all-zeros state; return the best state visited before
+    a certified stop, int64 0/1.
 
     The accept rolls are the only randomness and are drawn from ``rng``
-    up front, so a given generator state fully determines the result.
+    up front, so a given generator state fully determines the result. The
+    sweeps stop once the best state selects ``qubo.clique_cover`` nodes
+    with no conflict: it is then a maximum independent set, and the best
+    state of the full schedule would score the same (``kernels``).
     """
     n = qubo.n
     temps = temperature_schedule(params)
     uniforms = rng.random((params.sweeps, n))
     state = np.zeros(n, dtype=np.int64)
     best_state = np.zeros(n, dtype=np.int64)
-    sweep(qubo, temps, uniforms, state, best_state)
+    sweep(qubo, temps, uniforms, state, best_state, clique_cover=qubo.clique_cover)
     return best_state

@@ -33,6 +33,54 @@ After a sweep with no flip no variable is downhill (those always flip)
 and the state is unchanged, so the next sweep is skipped unless one of
 its rolls is below its largest finite threshold, ``exp(max_neg / t)``
 (``exp`` is monotone). Rolls become Python floats only for sweeps that run.
+
+Certified stop (opt-in: ``clique_cover=M``, the size of a clique cover of
+the graph; without it every sweep of the schedule runs). A conflict-free
+selection takes at most one node of each clique, so ``M >= alpha``, the
+size of a maximum independent set. With ``w_penalty > w_reward`` and
+``gap = min(w_reward, w_penalty - w_reward)``:
+
+1. Every state has energy at least ``-w_reward * alpha``: dropping a
+   selected node that has c >= 1 selected neighbours changes the energy
+   by ``w_reward - c * w_penalty <= -(w_penalty - w_reward)``, and a
+   conflict-free selection of s nodes has energy ``-w_reward * s``. So a
+   state below ``-w_reward * alpha + gap`` has no conflicts and selects
+   ``alpha`` nodes.
+2. A state that selects exactly ``M`` nodes, none with a selected
+   neighbour, is therefore a maximum independent set, and ``alpha = M``.
+   Two nodes that share a request conflict, so it serves ``M`` distinct
+   requests and ``decode`` scores it ``M`` without repair.
+3. On the full schedule every later best state has a computed energy
+   below the certified one's. The computed energy differs from the exact
+   one by at most ``B`` (below), so when ``gap > 2 * B`` each later best is
+   within ``2 * B < gap`` of ``-w_reward * alpha`` and is, by 1, also a
+   maximum independent set that scores ``M``.
+
+The sweep therefore returns at the first new best state that
+``certified`` accepts: exactly ``M`` selected variables, each at index
+``stride`` (a 1 bit with no selected neighbour). That integer check runs
+only inside the new-best branch, behind the float pre-test
+``best < -w_reward * M + gap / 2``, which every certified state passes
+(its computed energy is within ``B < gap / 2`` of ``-w_reward * M``), so
+no flip attempt costs more.
+
+The bound ``B``. Let ``u = 2**-53``, ``D`` the largest degree and
+``W = w_reward + D * w_penalty``; every exact energy lies in
+``[-n * w_reward, n * D * w_penalty / 2]``, so its magnitude is at most
+``n * W``. A table entry, ``-w_reward + S[m]`` or its negation, takes
+the m - 1 roundings of the positive sum ``S[m]`` and one more, so it is
+off its exact value by at most ``gamma(D + 1) * W``, where
+``gamma(k) = k * u / (1 - k * u)``.
+``e`` takes at most ``N = n * (sweeps + D + 1)`` additions: the start
+energy adds at most ``n + n * D / 2`` exact weights and each of the
+``sweeps * n`` attempts at most one table entry. Each addition adds its
+operand's error and one rounding of a partial sum, whose exact value is
+at most ``n * W`` in magnitude, so the error stays below
+``N * u * (n + D + 1) * W * (1 + u) ** (N + 1) * (1 + gamma(D + 1))``.
+The stop applies only where ``gap > 2 * B`` with
+``B = 4 * N * u * (n + D + 1) * W`` (``stop_energy``); as ``gap <= W``,
+that gives ``N * u < 1 / 16``, so the last two factors are below 1.1 and
+``B`` bounds the error with room to spare.
 """
 
 from __future__ import annotations
@@ -41,13 +89,38 @@ import math
 from array import array
 
 
-def sweep(qubo, temps, uniforms, state, best_state):
+_U = 2.0**-53  # unit roundoff of a float64
+
+
+def stop_energy(n, degree, sweeps, w_reward, w_penalty, clique_cover):
+    """The pre-test energy of the certified stop, ``-w_reward * M + gap / 2``,
+    or -inf where the stop does not apply: ``w_penalty <= w_reward``, or a
+    gap no wider than twice the rounding bound ``B`` (module docstring)."""
+    if not w_penalty > w_reward:
+        return -math.inf
+    gap = min(w_reward, w_penalty - w_reward)
+    bound = 4 * _U * n * (sweeps + degree + 1) * (n + degree + 1) * (w_reward + degree * w_penalty)
+    if not gap > 2 * bound:
+        return -math.inf
+    return -w_reward * clique_cover + gap / 2
+
+
+def certified(idx, stride, clique_cover):
+    """Whether the state with count indices ``idx`` selects exactly
+    ``clique_cover`` variables, none with a selected neighbour."""
+    return idx.count(stride) == clique_cover == sum(i >= stride for i in idx)
+
+
+def sweep(qubo, temps, uniforms, state, best_state, clique_cover=None):
     """Sequential single-flip Metropolis sweeps over a ``ConflictQubo``.
 
     temps: (sweeps,) temperature per sweep. uniforms: (sweeps, n)
     pre-drawn accept rolls, one per flip attempt, so the trajectory is a
     pure function of the inputs. state (0/1 per variable) is mutated in
     place; best_state receives the lowest energy configuration visited.
+    With ``clique_cover`` (the size of a clique cover of the graph) the
+    sweeps stop at the first best state certified optimal, as the module
+    docstring sets out; without it every sweep of the schedule runs.
     Returns (final_energy, best_energy).
     """
     neighbours = qubo.neighbours
@@ -76,6 +149,9 @@ def sweep(qubo, temps, uniforms, state, best_state):
     thr = [math.inf] * len(table)
     ceiling = max((neg for _, neg in uphill), default=-math.inf)
     n = len(idx)
+    certain = -math.inf
+    if clique_cover is not None:
+        certain = stop_energy(n, stride - 1, len(temps), w_reward, w_penalty, clique_cover)
     rolls = array("d", uniforms.tobytes())
     lows = uniforms.min(axis=1).tolist()
     frozen = False
@@ -101,6 +177,11 @@ def sweep(qubo, temps, uniforms, state, best_state):
                 if e < best:
                     best = e
                     best_idx = idx[:]
+                    if e < certain and certified(best_idx, stride, clique_cover):
+                        break
+        else:
+            continue
+        break  # certified optimal: no later sweep can change the score
     state[:] = [int(i >= stride) for i in idx]
     best_state[:] = [int(i >= stride) for i in best_idx]
     return e, best

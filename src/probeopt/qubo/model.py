@@ -5,7 +5,9 @@ carries +w_penalty off-diagonal. Minimizing x^T Q x therefore prefers
 large conflict-free selections whenever w_penalty > w_reward.
 
 This weighted independent-set form is the only QUBO the package builds,
-so it is stored sparsely: the two weights and each node's neighbours.
+so it is stored sparsely: the two weights and each node's neighbours,
+plus the size of a greedy clique cover, which bounds every conflict-free
+selection and lets the annealer certify an optimum.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ class ConflictQubo:
     w_reward: float
     w_penalty: float
     neighbours: tuple[tuple[int, ...], ...]  # per node, sorted, no self or repeat
+    # Cliques in a greedy clique cover. A conflict-free selection takes at
+    # most one node of each clique, so it selects at most this many nodes;
+    # one that selects exactly this many is a maximum independent set.
+    clique_cover: int
 
 
 def to_qubo(graph: ConflictGraph, weights: QuboWeights) -> ConflictQubo:
@@ -34,18 +40,23 @@ def to_qubo(graph: ConflictGraph, weights: QuboWeights) -> ConflictQubo:
     """
     if graph.n == 0:
         raise EmptyGraph("conflict graph has no nodes")
+    neighbours, clique_cover = _graph_tables(graph)
     return ConflictQubo(
         n=graph.n,
         w_reward=weights.w_reward,
         w_penalty=weights.w_penalty,
-        neighbours=_neighbours(graph),
+        neighbours=neighbours,
+        clique_cover=clique_cover,
     )
 
 
 @lru_cache(maxsize=1)
-def _neighbours(graph: ConflictGraph) -> tuple[tuple[int, ...], ...]:
-    """Each node's sorted neighbours. Cached: a run tunes the weights of
-    one graph, so every request of a run shares this."""
+def _graph_tables(graph: ConflictGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Each node's sorted neighbours, and the size of a greedy clique cover.
+
+    Cached: a run tunes the weights of one graph, so every request of a
+    run shares both.
+    """
     n = graph.n
     neighbours: list[set[int]] = [set() for _ in range(n)]
     for i, j in graph.edges:
@@ -57,4 +68,24 @@ def _neighbours(graph: ConflictGraph) -> tuple[tuple[int, ...], ...]:
             raise MalformedGraph(f"edge ({i}, {j}) appears twice")
         neighbours[i].add(j)
         neighbours[j].add(i)
-    return tuple(tuple(sorted(row)) for row in neighbours)
+    rows = tuple(tuple(sorted(row)) for row in neighbours)
+    return rows, _greedy_clique_cover(rows, neighbours)
+
+
+def _greedy_clique_cover(rows, neighbours) -> int:
+    """Cliques in a greedy clique cover: each uncovered node, in index
+    order, opens a clique and takes every uncovered neighbour, in index
+    order, that is adjacent to all of the clique's members so far."""
+    covered = [False] * len(rows)
+    cliques = 0
+    for v, row in enumerate(rows):
+        if covered[v]:
+            continue
+        cliques += 1
+        covered[v] = True
+        common = neighbours[v]  # nodes adjacent to every member
+        for u in row:
+            if not covered[u] and u in common:
+                covered[u] = True
+                common = common & neighbours[u]
+    return cliques

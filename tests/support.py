@@ -89,17 +89,26 @@ def energy(qubo, state):
     return float(x @ qubo_matrix(qubo) @ x)
 
 
+def graph_on(n, edges):
+    """The conflict graph on n nodes with the given edges, node k being
+    (satellite 0, request k)."""
+    return ConflictGraph(nodes=tuple((0, k) for k in range(n)), edges=tuple(edges))
+
+
 def qubo_on(n, edges, w_reward=1.0, w_penalty=2.0):
     """to_qubo of the graph on n nodes with the given edges."""
-    graph = ConflictGraph(nodes=tuple((0, k) for k in range(n)), edges=tuple(edges))
-    return to_qubo(graph, QuboWeights(w_reward=w_reward, w_penalty=w_penalty))
+    return to_qubo(graph_on(n, edges), QuboWeights(w_reward=w_reward, w_penalty=w_penalty))
+
+
+def random_edges(rng, n):
+    """G(n, p) edges, p drawn from [0.1, 0.7]."""
+    p = rng.uniform(0.1, 0.7)
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
 
 
 def random_conflict_qubo(rng, n, w_penalty=None, w_reward=None):
-    """qubo_on a random simple graph: G(n, p) edges, p drawn from
-    [0.1, 0.7]; weights drawn unless given."""
-    p = rng.uniform(0.1, 0.7)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    """qubo_on ``random_edges``; weights drawn unless given."""
+    edges = random_edges(rng, n)
     if w_reward is None:
         w_reward = float(rng.uniform(0.5, 2.0))
     if w_penalty is None:
@@ -146,17 +155,45 @@ def sweep_operands(qubo):
     return np.ascontiguousarray(np.diag(q)), coupling
 
 
-def dense_sweep_reference(qdiag, coupling, temps, uniforms, state, best_state):
+def certified_stop_applies(n, degree, sweeps, w_reward, w_penalty):
+    """Whether the annealer's certified stop applies: ``w_penalty > w_reward``
+    and a gap ``min(w_reward, w_penalty - w_reward)`` wider than twice the
+    bound ``B`` on the rounding in the running energy
+    (``probeopt.qubo.kernels``), with ``u = 2**-53``."""
+    if not w_penalty > w_reward:
+        return False
+    gap = min(w_reward, w_penalty - w_reward)
+    u = 2.0**-53
+    return gap > 2 * (4 * u * n * (sweeps + degree + 1) * (n + degree + 1) * (w_reward + degree * w_penalty))
+
+
+def certified_optimal(coupling, state, clique_cover):
+    """Whether ``state`` selects exactly ``clique_cover`` nodes and no two
+    selected nodes share a nonzero coupling."""
+    selected = [i for i in range(len(state)) if state[i] == 1]
+    return len(selected) == clique_cover and not any(coupling[i, j] for i in selected for j in selected)
+
+
+def dense_sweep_reference(
+    qdiag, coupling, temps, uniforms, state, best_state, clique_cover=None, w_penalty=None
+):
     """The annealer sweep from its definition: the field re-summed densely.
 
     The definition ``probeopt.qubo.kernels.sweep`` must reproduce, on
     the operands ``sweep_operands`` builds: every flip attempt adds
     ``coupling[k, j] * state[j]`` over all n columns, so it costs
     O(sweeps * n^2). state is mutated in place; best_state receives the
-    lowest-energy configuration visited. Returns (final_energy, best_energy).
+    lowest-energy configuration visited. With ``clique_cover`` (and the
+    ``w_penalty`` the couplings stand for, which an edgeless graph does not
+    show) it returns at the first new best state that is
+    ``certified_optimal``, where ``certified_stop_applies``.
+    Returns (final_energy, best_energy).
     """
     n = qdiag.shape[0]
     sweeps = temps.shape[0]
+    stop = clique_cover is not None and certified_stop_applies(
+        n, int(np.count_nonzero(coupling, axis=1).max()), sweeps, float(-qdiag[0]), w_penalty
+    )
     e = 0.0
     for i in range(n):
         if state[i] == 1:
@@ -181,7 +218,35 @@ def dense_sweep_reference(qdiag, coupling, temps, uniforms, state, best_state):
                     best = e
                     for i in range(n):
                         best_state[i] = state[i]
+                    if stop and certified_optimal(coupling, best_state, clique_cover):
+                        return e, best
     return e, best
+
+
+def first_certified_sweep(qubo, temps, uniforms, kernel=None):
+    """The first sweep, from the all-zeros state, that visits a state
+    ``certified_optimal`` for ``qubo.clique_cover``, or None.
+
+    ``kernel(qubo, temps, uniforms, state, best_state)`` is stepped one
+    sweep at a time; by default it is ``dense_sweep_reference`` on the
+    QUBO's dense operands. Each step's best state is the lowest of that
+    sweep, and where the stop applies a certified state lies below every
+    other (``probeopt.qubo.kernels``), so the first step whose best is
+    certified is the first sweep that visits one.
+    """
+    qdiag, coupling = sweep_operands(qubo)
+    if kernel is None:
+
+        def kernel(_qubo, *args):
+            return dense_sweep_reference(qdiag, coupling, *args)
+
+    state = np.zeros(qubo.n, dtype=np.int64)
+    best_state = np.zeros_like(state)
+    for s in range(temps.shape[0]):
+        kernel(qubo, temps[s : s + 1], uniforms[s : s + 1], state, best_state)
+        if certified_optimal(coupling, best_state, qubo.clique_cover):
+            return s
+    return None
 
 
 def brute_force_conflict_edges(geometry, problem):

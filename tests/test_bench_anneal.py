@@ -27,9 +27,16 @@ def test_report_on_tiny_instance():
     for row in rows:
         assert row["bit_identical"] is True
         assert 0 <= row["idle_sweeps"] <= row["sweeps"]
-        for label in ("dense", "sparse"):
+        for label in ("dense", "sparse", "stopped"):
             assert len(row[label]["runs_s"]) == 2
             assert row[label]["iqr_s"] >= 0.0
+        assert 1 <= row["clique_cover"] <= row["nodes"]
+        assert 1 <= row["stop_sweeps"] <= row["sweeps"]
+        assert 0 <= row["score"] <= row["clique_cover"]
+        assert row["stop_speedup"] > 0.0
+    # At 2.37 this instance is certified optimal in its second of four
+    # sweeps; at 0.6, below w_reward, the stop does not apply.
+    assert [row["stop_sweeps"] for row in rows] == [2, 4]
 
 
 def test_divergent_kernel_is_rejected(monkeypatch):
@@ -39,4 +46,15 @@ def test_divergent_kernel_is_rejected(monkeypatch):
 
     monkeypatch.setattr(bench, "KERNELS", (("dense", bench.dense), ("sparse", drifting)))
     with pytest.raises(RuntimeError, match="diverged"):
+        bench.run(TINY, repeats=1, seed=0)
+
+
+def test_stop_that_changes_the_score_is_rejected(monkeypatch):
+    def empty_best(qubo, temps, uniforms, state, best_state):
+        energies = bench.sweep(qubo, temps, uniforms, state, best_state, clique_cover=qubo.clique_cover)
+        best_state[:] = 0
+        return energies
+
+    monkeypatch.setattr(bench, "stopped", empty_best)
+    with pytest.raises(RuntimeError, match="changed the score"):
         bench.run(TINY, repeats=1, seed=0)
