@@ -3,7 +3,15 @@
 The search is deterministic given (seed, observation history). The first
 ``n_init`` suggestions are uniform draws; afterwards each suggestion is
 the expected-improvement argmax over a fresh batch of ``n_cand`` uniform
-candidates, ties resolved toward the lowest candidate index.
+candidates, ties resolved toward the lowest candidate index. EI is
+computed only for the candidates whose EI bound reaches the best lower
+bound (``ei_contenders``), which always hold that first argmax, so the
+suggestion is the one the full batch's EI gives, bit for bit.
+
+A uniform draw is ``lower + widths * rng.random(shape)``, bit for bit
+``rng.uniform(lower, upper, shape)``, with the box arrays made once.
+Each update appends its point to the training arrays and borders the
+model by one row.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionMismatch, OutOfBounds
-from .acquisition import expected_improvement
+from .acquisition import ei_contenders, expected_improvement
 from .gp import GPHyper, GPModel, gp_fit, gp_predict
 
 
@@ -35,10 +43,8 @@ class SearchSpace:
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(
-            x.shape == (self.dims,)
-            and np.all(x >= np.asarray(self.lower))
-            and np.all(x <= np.asarray(self.upper))
+        return x.shape == (self.dims,) and all(
+            lo <= v <= hi for lo, v, hi in zip(self.lower, x.tolist(), self.upper)
         )
 
     @property
@@ -63,6 +69,7 @@ def default_hyper(space: SearchSpace) -> GPHyper:
 
 
 def draw_candidates(rng: np.random.Generator, space: SearchSpace, n: int) -> np.ndarray:
+    """``n`` uniform points in the box: the batch ``BayesSearch`` draws, bit for bit."""
     return rng.uniform(space.lower, space.upper, size=(n, space.dims))
 
 
@@ -86,24 +93,34 @@ class BayesSearch:
         self.rng = np.random.default_rng(seed)
         self.observations: list[Observation] = []
         self.model: GPModel | None = None
+        self.y_best: float | None = None
         self._suggest_calls = 0
+        # Box arrays for one point and, row-tiled, for a candidate batch;
+        # the widths in float64, as rng.uniform takes them.
+        self._lower = np.asarray(space.lower, dtype=float)
+        self._widths = np.asarray(space.upper, dtype=float) - self._lower
+        self._cand_lower = np.tile(self._lower, (n_cand, 1))
+        self._cand_widths = np.tile(self._widths, (n_cand, 1))
+        self._xs = np.empty((0, space.dims))
+        self._ys = np.empty(0)
 
-    @property
-    def y_best(self) -> float | None:
-        if not self.observations:
-            return None
-        return max(o.y for o in self.observations)
+    def _draw(self, lower: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        x = self.rng.random(lower.shape)
+        x *= widths
+        x += lower
+        return x
 
     def suggest(self) -> np.ndarray:
         """Next point to evaluate. Consumes RNG draws, so call order matters."""
         self._suggest_calls += 1
         if self._suggest_calls <= self.n_init or self.model is None:
-            return self.rng.uniform(self.space.lower, self.space.upper, size=self.space.dims)
-        cands = draw_candidates(self.rng, self.space, self.n_cand)
+            return self._draw(self._lower, self._widths)
+        cands = self._draw(self._cand_lower, self._cand_widths)
         mean, var = gp_predict(self.model, cands)
-        ei = expected_improvement(mean, var, self.y_best, self.xi)
+        kept = ei_contenders(mean, var, self.y_best, self.xi)
+        ei = expected_improvement(mean[kept], var[kept], self.y_best, self.xi)
         # np.argmax returns the first maximizer: lowest index wins ties.
-        return cands[int(np.argmax(ei))].copy()
+        return cands[kept[int(np.argmax(ei))]].copy()
 
     def update(self, obs: Observation) -> None:
         """Fold in one observation by bordering the model's factor, O(n^2)."""
@@ -111,6 +128,8 @@ class BayesSearch:
         if not self.space.contains(x):
             raise OutOfBounds(f"{obs.x} outside {self.space.lower}..{self.space.upper}")
         self.observations.append(obs)
-        xs = np.array([o.x for o in self.observations], dtype=float)
-        ys = np.array([o.y for o in self.observations], dtype=float)
-        self.model = gp_fit(xs, ys, self.hyper, base=self.model)
+        if self.y_best is None or obs.y > self.y_best:
+            self.y_best = obs.y
+        self._xs = np.concatenate((self._xs, x[None]))
+        self._ys = np.append(self._ys, obs.y)
+        self.model = gp_fit(self._xs, self._ys, self.hyper, base=self.model)

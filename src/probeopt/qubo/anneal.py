@@ -37,16 +37,17 @@ def solve(qubo: ConflictQubo, params: AnnealParams, rng: np.random.Generator) ->
     """Anneal from the all-zeros state; return the best state visited before
     a certified stop, int64 0/1.
 
-    The accept rolls are the only randomness and are drawn from ``rng``
-    up front, so a given generator state fully determines the result. The
-    sweeps stop once the best state selects ``qubo.clique_cover`` nodes
-    with no conflict: it is then a maximum independent set, and the best
-    state of the full schedule would score the same (``kernels``).
+    The accept rolls are the only randomness: those of
+    ``rng.random((sweeps, n))``, so a given generator state fully
+    determines the result. The sweeps stop once the best state selects
+    ``qubo.clique_cover`` nodes with no conflict: it is then a maximum
+    independent set, and the best state of the full schedule would score
+    the same (``kernels``). The kernel draws the first sweep's rolls, and
+    the rest only if it goes on.
     """
     n = qubo.n
     temps = temperature_schedule(params)
-    uniforms = rng.random((params.sweeps, n))
     state = np.zeros(n, dtype=np.int64)
     best_state = np.zeros(n, dtype=np.int64)
-    sweep(qubo, temps, uniforms, state, best_state, clique_cover=qubo.clique_cover)
+    sweep(qubo, temps, rng, state, best_state, clique_cover=qubo.clique_cover)
     return best_state

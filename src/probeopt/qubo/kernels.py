@@ -33,6 +33,11 @@ After a sweep with no flip no variable is downhill (those always flip)
 and the state is unchanged, so the next sweep is skipped unless one of
 its rolls is below its largest finite threshold, ``exp(max_neg / t)``
 (``exp`` is monotone). Rolls become Python floats only for sweeps that run.
+Given a generator in place of the rolls, the kernel draws the first
+sweep's row alone and the other rows only once that sweep has not
+stopped: ``Generator.random`` fills row by row, so the rolls are those of
+``rng.random((sweeps, n))``, and a solve that stops in its first sweep
+pays for one row.
 
 Certified stop (opt-in: ``clique_cover=M``, the size of a clique cover of
 the graph; without it every sweep of the schedule runs). A conflict-free
@@ -88,6 +93,8 @@ from __future__ import annotations
 import math
 from array import array
 
+import numpy as np
+
 
 _U = 2.0**-53  # unit roundoff of a float64
 
@@ -115,8 +122,10 @@ def sweep(qubo, temps, uniforms, state, best_state, clique_cover=None):
     """Sequential single-flip Metropolis sweeps over a ``ConflictQubo``.
 
     temps: (sweeps,) temperature per sweep. uniforms: (sweeps, n)
-    pre-drawn accept rolls, one per flip attempt, so the trajectory is a
-    pure function of the inputs. state (0/1 per variable) is mutated in
+    accept rolls, one per flip attempt, so the trajectory is a pure
+    function of the inputs; or a ``np.random.Generator`` that draws them
+    as ``uniforms.random((sweeps, n))`` would, the first sweep's row
+    before the rest (module docstring). state (0/1 per variable) is mutated in
     place; best_state receives the lowest energy configuration visited.
     With ``clique_cover`` (the size of a clique cover of the graph) the
     sweeps stop at the first best state certified optimal, as the module
@@ -152,10 +161,17 @@ def sweep(qubo, temps, uniforms, state, best_state, clique_cover=None):
     certain = -math.inf
     if clique_cover is not None:
         certain = stop_energy(n, stride - 1, len(temps), w_reward, w_penalty, clique_cover)
+    rng = None
+    if isinstance(uniforms, np.random.Generator):
+        rng, uniforms = uniforms, uniforms.random((1, n))
     rolls = array("d", uniforms.tobytes())
-    lows = uniforms.min(axis=1).tolist()
+    lows = uniforms.min(axis=1).tolist() if rng is None else None
     frozen = False
     for s, t in enumerate(temps.tolist()):
+        if s == 1 and rng is not None:  # the first sweep did not stop
+            rest = rng.random((len(temps) - 1, n))
+            rolls.frombytes(rest.tobytes())
+            lows = [0.0, *rest.min(axis=1).tolist()]  # lows[0] is never read
         if frozen and lows[s] >= exp(ceiling / t):
             continue
         for i, neg in uphill:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from probeopt.bo.acquisition import expected_improvement
+from probeopt.bo.acquisition import ei_contenders, expected_improvement
+from probeopt.bo.gp import GPHyper, gp_fit, gp_predict
 from support import ei_reference
 
 
@@ -59,3 +60,91 @@ def test_vector_and_scalar_shapes():
     out = expected_improvement(np.array([0.1, 0.2]), np.array([1.0, 1.0]), 0.0)
     assert out.shape == (2,)
     assert isinstance(expected_improvement(0.1, 1.0, 0.0), float)
+
+
+# -- ei_contenders: the exact argmax over bound-pruned candidates --------------
+
+
+def _pruned_argmax(mean, var, y_best, xi):
+    kept = ei_contenders(mean, var, y_best, xi)
+    assert np.all(np.diff(kept) > 0)
+    full = expected_improvement(mean, var, y_best, xi)
+    sub = expected_improvement(mean[kept], var[kept], y_best, xi)
+    # EI is elementwise, so the kept values are the full array's bits.
+    assert np.array_equal(sub.view(np.int64), full[kept].view(np.int64))
+    return int(kept[int(np.argmax(sub))]), int(np.argmax(full)), len(kept)
+
+
+def _random_case(rng, kind):
+    """(mean, var, y_best, xi) of one kind of candidate batch."""
+    m = int(rng.choice([1, 2, 7, 64, 512]))
+    scale = float(rng.choice([1e-6, 1.0, 1e6])) if kind == "scaled" else 1.0
+    y_best = float(rng.normal(scale=3.0))
+    xi = float(rng.choice([0.0, 0.01]))
+    var = rng.uniform(0.0, 1.0, size=m) ** rng.uniform(1.0, 8.0)
+    mean = y_best + rng.normal(scale=1.0, size=m)
+    if kind == "below":  # every improvement negative
+        mean = y_best - xi - np.abs(rng.normal(scale=2.0, size=m)) - 1e-3
+    elif kind == "above":  # some candidates improve for sure
+        mean[rng.random(m) < 0.2] += 2.0
+    elif kind == "flat":  # zero and tiny negative variance, hinge only
+        var[rng.random(m) < 0.5] = 0.0
+        var[rng.random(m) < 0.2] = -1e-17
+    elif kind == "duplicates":  # the lowest index must win among equals
+        src = rng.integers(0, max(1, m // 4), size=m)
+        mean, var = mean[src], var[src]
+    elif kind == "tails":  # |z| beyond 40, where phi and Phi underflow
+        var = rng.uniform(1e-6, 1e-3, size=m) ** 2
+        mean = y_best + rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.0, 1.0, size=m)
+    elif kind == "zero":  # EI underflows to zero everywhere
+        var = np.full(m, 1e-6)
+        mean = y_best - xi - rng.uniform(0.1, 1.0, size=m)
+    if kind == "scaled":
+        mean, var, y_best, xi = mean * scale, var * scale**2, y_best * scale, xi * scale
+    return mean, var, y_best, xi
+
+
+KINDS = ("plain", "below", "above", "flat", "duplicates", "tails", "zero", "scaled")
+
+
+def test_pruned_argmax_equals_the_full_argmax_on_random_batches():
+    rng = np.random.default_rng(25)
+    for i in range(5600):
+        case = _random_case(rng, KINDS[i % len(KINDS)])
+        pruned, full, _ = _pruned_argmax(*case)
+        assert pruned == full, (KINDS[i % len(KINDS)], i)
+
+
+def test_pruned_argmax_on_gp_posteriors_keeps_few_candidates():
+    rng = np.random.default_rng(26)
+    hyper = GPHyper(length_scale=0.3)
+    counts = []
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        x = rng.uniform(size=(n, 2))
+        y = np.round(9.0 * np.exp(-4.0 * np.sum((x - 0.6) ** 2, axis=1)))
+        mean, var = gp_predict(gp_fit(x, y, hyper), rng.uniform(size=(512, 2)))
+        pruned, full, kept = _pruned_argmax(mean, var, float(y.max()), 0.01)
+        assert pruned == full
+        counts.append(kept)
+    assert np.median(counts) <= 8
+
+
+def test_every_candidate_is_kept_where_ei_is_zero_everywhere():
+    mean, var = np.full(5, -50.0), np.full(5, 1e-4)
+    assert expected_improvement(mean, var, 0.0).max() == 0.0
+    assert ei_contenders(mean, var, 0.0).tolist() == [0, 1, 2, 3, 4]
+
+
+def test_equal_candidates_are_all_kept():
+    mean, var = np.array([0.3, 1.0, 1.0, 0.2, 1.0]), np.array([0.5, 0.2, 0.2, 0.5, 0.2])
+    assert ei_contenders(mean, var, 0.5, 0.01).tolist() == [1, 2, 4]
+
+
+def test_non_finite_inputs_keep_every_candidate():
+    for bad_mean, bad_var in ((np.nan, 0.5), (np.inf, 0.5), (0.2, np.inf), (0.2, np.nan)):
+        mean, var = np.array([0.1, 0.4, bad_mean, 0.3]), np.array([0.2, 0.1, bad_var, 0.2])
+        assert ei_contenders(mean, var, 0.3, 0.01).tolist() == [0, 1, 2, 3]
+        with np.errstate(invalid="ignore"):
+            pruned, full, _ = _pruned_argmax(mean, var, 0.3, 0.01)
+        assert pruned == full

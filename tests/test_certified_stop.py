@@ -9,6 +9,7 @@ nodes with no conflict. Every score must equal the full schedule's.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -212,16 +213,20 @@ def test_every_default_instance_solve_above_the_reward_stops(monkeypatch, tmp_pa
     # Record every kernel call of the seed-7 headline run.
     calls = []
 
-    def recording(qubo, temps, uniforms, state, best_state, **kwargs):
-        calls.append((qubo, temps, uniforms.copy(), kwargs))
-        return sweep(qubo, temps, uniforms, state, best_state, **kwargs)
+    def recording(qubo, temps, rng, state, best_state, **kwargs):
+        # solve hands the kernel its generator; record the rolls it yields.
+        uniforms = copy.deepcopy(rng).random((len(temps), qubo.n))
+        energies = sweep(qubo, temps, rng, state, best_state, **kwargs)
+        calls.append((qubo, temps, uniforms, kwargs, (state.tolist(), best_state.tolist(), *energies)))
+        return energies
 
     monkeypatch.setattr(anneal, "sweep", recording)
     run_scenario(ScenarioConfig("bo-qubo", seed=7, budget=25, problem=default_problem(), out=tmp_path))
     assert len(calls) == 25
     sweeps_run = []
-    for qubo, temps, uniforms, kwargs in calls:
+    for qubo, temps, uniforms, kwargs, outputs in calls:
         assert kwargs == {"clique_cover": qubo.clique_cover}
+        assert outputs == _kernel(qubo, temps, uniforms, **kwargs)
         if qubo.w_penalty > qubo.w_reward:
             sweeps_run.append(_assert_stops_in_the_first_certified_sweep(qubo, temps, uniforms, **kwargs) + 1)
         else:
@@ -250,3 +255,39 @@ def test_stop_comes_at_the_first_certified_best_on_special_graphs(graph):
     params = AnnealParams(sweeps=30, t_start=2.0)
     uniforms = np.random.default_rng(17).random((params.sweeps, n))
     _assert_stops_in_the_first_certified_sweep(qubo, temperature_schedule(params), uniforms, qubo.clique_cover)
+
+
+# -- rolls drawn by the kernel -------------------------------------------------
+
+
+@pytest.mark.parametrize("problem", [default_problem(), LARGE_PROBLEM], ids=["3x12", "4x30"])
+@pytest.mark.parametrize("w_penalty", [0.6, 2.37])
+@pytest.mark.parametrize("sweeps", [1, 2, 60])
+def test_kernel_drawing_its_rolls_matches_the_drawn_rolls_and_the_reference(problem, w_penalty, sweeps):
+    qubo = to_qubo(conflict_graph(problem), replace(problem.qubo_weights, w_penalty=w_penalty))
+    temps = temperature_schedule(AnnealParams(sweeps=sweeps, t_start=1.3))
+    for seed in range(4):
+        uniforms = np.random.default_rng(seed).random((sweeps, qubo.n))
+        for cover in (None, qubo.clique_cover):
+            rng = np.random.default_rng(seed)
+            outputs = _kernel(qubo, temps, rng, cover)
+            assert outputs == _kernel(qubo, temps, uniforms, cover) == _reference(qubo, temps, uniforms, cover)
+            # The kernel drew the first sweep's rolls, or all of them.
+            stream = np.random.default_rng(seed).random((sweeps + 1) * qubo.n)
+            assert rng.random() in (stream[qubo.n], stream[sweeps * qubo.n])
+
+
+def test_a_solve_that_stops_in_its_first_sweep_draws_one_row():
+    problem = default_problem()
+    qubo = to_qubo(conflict_graph(problem), replace(problem.qubo_weights, w_penalty=2.37))
+    params = AnnealParams(sweeps=200, t_start=1.0)
+    stopped = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        uniforms = np.random.default_rng(seed).random((params.sweeps, qubo.n))
+        best = solve(qubo, params, rng)
+        assert best.tolist() == _reference(qubo, temperature_schedule(params), uniforms, qubo.clique_cover)[1]
+        if first_certified_sweep(qubo, temperature_schedule(params), uniforms) == 0:
+            stopped += 1
+            assert rng.random() == uniforms[1, 0]
+    assert stopped > 0

@@ -178,3 +178,31 @@ def test_dimension_mismatches_raise():
         gp_fit(np.zeros((3, 2)), np.zeros(2), hyper)
     with pytest.raises(DimensionMismatch):
         gp_fit(np.zeros((0, 2)), np.zeros(0), hyper)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("signal_var", [1.0, 1.7])
+def test_kernel_equals_the_unfused_expression_bit_for_bit(d, signal_var):
+    rng = np.random.default_rng(d)
+    hyper = GPHyper(signal_var=signal_var, length_scale=0.35)
+    for n, m in ((1, 1), (7, 512), (30, 3)):
+        xa, xb = rng.uniform(-1.0, 2.0, size=(n, d)), rng.uniform(-1.0, 2.0, size=(m, d))
+        xb[0] = xa[0]  # a zero distance, clamped
+        sq = np.sum(xa**2, axis=1)[:, None] + np.sum(xb**2, axis=1)[None, :] - 2.0 * xa @ xb.T
+        np.maximum(sq, 0.0, out=sq)
+        unfused = hyper.signal_var * np.exp(-sq / (2.0 * hyper.length_scale**2))
+        assert np.array_equal(kernel_matrix(xa, xb, hyper), unfused)
+
+
+def test_norms_carried_through_bordering_equal_a_fresh_sum():
+    rng = np.random.default_rng(13)
+    hyper = GPHyper(length_scale=0.3)
+    x, y = rng.uniform(size=(12, 3)), rng.normal(size=12)
+    model = gp_fit(x[:1], y[:1], hyper)
+    for n in range(2, 13):
+        model = gp_fit(x[:n], y[:n], hyper, base=model)
+    assert np.array_equal(model.norms, np.sum(x**2, axis=1))
+    fresh = gp_fit(x, y, hyper)
+    queries = rng.uniform(size=(64, 3))
+    for a, b in zip(gp_predict(model, queries), gp_predict(fresh, queries)):
+        assert np.allclose(a, b, atol=1e-10)

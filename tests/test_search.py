@@ -101,6 +101,31 @@ def test_suggestion_is_argmax_over_candidate_batch():
             assert scores[chosen_idx] >= order[0] - 1e-9
 
 
+def test_box_draws_equal_rng_uniform_bit_for_bit():
+    space = SearchSpace(lower=(0.5, 0.1), upper=(3.0, 2.0))
+    for seed in range(50):
+        search = BayesSearch(space, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(search.n_init):
+            assert np.array_equal(search.suggest(), rng.uniform(space.lower, space.upper, size=space.dims))
+        cands = search._draw(search._cand_lower, search._cand_widths)
+        assert np.array_equal(cands, draw_candidates(rng, space, search.n_cand))
+
+
+def test_update_keeps_the_training_arrays_and_best():
+    space = SearchSpace(lower=(0.0, -1.0), upper=(1.0, 1.0))
+    search = BayesSearch(space, seed=3)
+    for k, y in enumerate([0.5, 2.0, -1.0, 2.0, 1.0]):
+        search.update(Observation(x=(0.1 * k, -0.2 * k), y=y))
+        assert search.y_best == max(o.y for o in search.observations)
+    assert np.array_equal(search.model.train_x, [o.x for o in search.observations])
+    with pytest.raises(OutOfBounds):
+        search.update(Observation(x=(0.5, float("nan")), y=0.0))
+    with pytest.raises(OutOfBounds):
+        search.update(Observation(x=(0.5,), y=0.0))
+    assert search.model.n == len(search.observations) == 5
+
+
 def test_y_best_tracks_maximum():
     search = BayesSearch(_space1d(), seed=5)
     search.update(Observation(x=(0.2,), y=1.0))
