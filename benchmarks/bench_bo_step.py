@@ -158,11 +158,13 @@ def run(n_obs, repeats, calls, seed, src=ROOT / "src"):
         row = {"n": n, "suggest": summarize(suggest), "update": summarize(update)}
         if counts is not None:
             row["contenders"] = {"median": statistics.median(counts), "max": max(counts), "counts": counts}
-        print(
+        line = (
             f"n {n:3d}: suggest {row['suggest']['median_us']:8.1f} us (IQR {row['suggest']['iqr_us']:.1f}) | "
             f"update {row['update']['median_us']:7.1f} us (IQR {row['update']['iqr_us']:.1f})"
-            + (f" | contenders median {row['contenders']['median']}, max {row['contenders']['max']}" if counts else "")
         )
+        if counts is not None:
+            line += f" | contenders median {row['contenders']['median']}, max {row['contenders']['max']}"
+        print(line)
         rows.append(row)
     return {
         "benchmark": "BayesSearch suggest and update per call at n observations",

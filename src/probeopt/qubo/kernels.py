@@ -125,8 +125,9 @@ def sweep(qubo, temps, uniforms, state, best_state, clique_cover=None):
     accept rolls, one per flip attempt, so the trajectory is a pure
     function of the inputs; or a ``np.random.Generator`` that draws them
     as ``uniforms.random((sweeps, n))`` would, the first sweep's row
-    before the rest (module docstring). state (0/1 per variable) is mutated in
-    place; best_state receives the lowest energy configuration visited.
+    before the rest (module docstring). state (0/1 per variable) is
+    mutated in place; best_state receives the lowest energy
+    configuration visited.
     With ``clique_cover`` (the size of a clique cover of the graph) the
     sweeps stop at the first best state certified optimal, as the module
     docstring sets out; without it every sweep of the schedule runs.

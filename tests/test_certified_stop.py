@@ -271,7 +271,8 @@ def test_kernel_drawing_its_rolls_matches_the_drawn_rolls_and_the_reference(prob
         for cover in (None, qubo.clique_cover):
             rng = np.random.default_rng(seed)
             outputs = _kernel(qubo, temps, rng, cover)
-            assert outputs == _kernel(qubo, temps, uniforms, cover) == _reference(qubo, temps, uniforms, cover)
+            assert outputs == _kernel(qubo, temps, uniforms, cover)
+            assert outputs == _reference(qubo, temps, uniforms, cover)
             # The kernel drew the first sweep's rolls, or all of them.
             stream = np.random.default_rng(seed).random((sweeps + 1) * qubo.n)
             assert rng.random() in (stream[qubo.n], stream[sweeps * qubo.n])
