@@ -32,11 +32,6 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -45,8 +40,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")]
 
+from _bench import environment, summarize, write_report  # noqa: E402
 from probeopt.harness.scenarios import default_problem  # noqa: E402
 from probeopt.qubo.anneal import AnnealParams, temperature_schedule  # noqa: E402
 from probeopt.qubo.conflict import build_conflict_graph  # noqa: E402
@@ -119,14 +115,6 @@ def time_kernel(kernel, inputs, repeats):
     return durations, (state.tolist(), best_state.tolist(), float(final_energy), float(best_energy))
 
 
-def summarize(durations):
-    iqr = 0.0
-    if len(durations) > 1:
-        q1, _, q3 = statistics.quantiles(durations, n=4)
-        iqr = q3 - q1
-    return {"median_s": statistics.median(durations), "iqr_s": iqr, "runs_s": durations}
-
-
 def idle_sweeps(qubo, temps, uniforms):
     """Sweeps that flip nothing, from the all-zeros state.
 
@@ -186,23 +174,6 @@ def measure(name, problem, w_penalty, sweeps, repeats, seed):
     return row
 
 
-def environment():
-    # "<hash>-dirty" when the measured tree has uncommitted changes.
-    commit = subprocess.run(
-        ["git", "-C", str(ROOT), "describe", "--always", "--dirty", "--abbrev=40"],
-        capture_output=True,
-        text=True,
-        check=False,
-    ).stdout.strip()
-    return {
-        "commit": commit or None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-    }
-
-
 def run(instances, repeats, seed):
     rows = []
     for name, problem, sweeps in instances:
@@ -220,7 +191,7 @@ def run(instances, repeats, seed):
             rows.append(row)
     return {
         "benchmark": "anneal sweep kernel, dense definition vs count-indexed kernel, and its certified stop",
-        "environment": environment(),
+        "environment": environment(ROOT),
         "repeats": repeats,
         "seed": seed,
         "w_penalties": list(W_PENALTIES),
@@ -234,9 +205,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_anneal.json")
     args = parser.parse_args(argv)
-    report = run(INSTANCES, args.repeats, args.seed)
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    write_report(run(INSTANCES, args.repeats, args.seed), args.out)
     return 0
 
 

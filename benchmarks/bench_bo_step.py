@@ -21,9 +21,9 @@ suggestion is the first EI argmax over the whole batch, and records how
 many candidates ``ei_contenders`` kept (``contenders``), where the
 package has it.
 
-``--baseline SRC`` runs the same inputs on the package under SRC (say,
-a checkout of the parent commit) in a fresh interpreter and stores its
-report under ``baseline``.
+``--baseline SRC`` runs the same inputs on the package sources under
+SRC, for example ``<dir>/src`` after ``git worktree add <dir> <rev>``,
+in a fresh interpreter and stores its report under ``baseline``.
 
 Run from the repository root:
 
@@ -38,17 +38,19 @@ import copy
 import gc
 import importlib
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from _bench import environment, summarize, write_report  # noqa: E402
 
 N_OBS = (5, 10, 25, 100, 250)
 
@@ -117,32 +119,6 @@ def check_suggestions(bo, search, calls):
     return counts or None
 
 
-def summarize(seconds):
-    runs = [s * 1e6 for s in seconds]
-    iqr = 0.0
-    if len(runs) > 1:
-        q1, _, q3 = statistics.quantiles(runs, n=4)
-        iqr = q3 - q1
-    return {"median_us": statistics.median(runs), "iqr_us": iqr, "runs_us": runs}
-
-
-def environment(src):
-    # "<hash>-dirty" when the measured tree has uncommitted changes.
-    commit = subprocess.run(
-        ["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=40"],
-        capture_output=True,
-        text=True,
-        check=False,
-    ).stdout.strip()
-    return {
-        "commit": commit or None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-    }
-
-
 def run(n_obs, repeats, calls, seed, src=ROOT / "src"):
     sys.path.insert(0, str(src))
     bo = importlib.import_module("probeopt.bo")
@@ -155,7 +131,7 @@ def run(n_obs, repeats, calls, seed, src=ROOT / "src"):
         for _ in range(repeats):
             suggest.append(time_suggest(search, calls))
             update.append(time_update(search, last, calls))
-        row = {"n": n, "suggest": summarize(suggest), "update": summarize(update)}
+        row = {"n": n, "suggest": summarize(suggest, "us"), "update": summarize(update, "us")}
         if counts is not None:
             row["contenders"] = {"median": statistics.median(counts), "max": max(counts), "counts": counts}
         line = (
@@ -168,7 +144,7 @@ def run(n_obs, repeats, calls, seed, src=ROOT / "src"):
         rows.append(row)
     return {
         "benchmark": "BayesSearch suggest and update per call at n observations",
-        "environment": environment(Path(src).resolve().parent),
+        "environment": environment(src),
         "n_cand": search.n_cand,
         "repeats": repeats,
         "calls": calls,
@@ -188,14 +164,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = run(N_OBS, args.repeats, args.calls, args.seed, args.src)
     if args.baseline is not None:
-        out = args.out.with_suffix(".baseline.json")
-        cmd = [sys.executable, __file__, "--repeats", str(args.repeats), "--calls", str(args.calls)]
-        cmd += ["--seed", str(args.seed), "--src", str(args.baseline), "--out", str(out)]
-        subprocess.run(cmd, check=True)
-        report["baseline"] = json.loads(out.read_text(encoding="utf-8"))
-        out.unlink()
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "baseline.json"
+            cmd = [sys.executable, __file__, "--repeats", str(args.repeats), "--calls", str(args.calls)]
+            cmd += ["--seed", str(args.seed), "--src", str(args.baseline), "--out", str(out)]
+            subprocess.run(cmd, check=True)
+            report["baseline"] = json.loads(out.read_text(encoding="utf-8"))
+    write_report(report, args.out)
     return 0
 
 

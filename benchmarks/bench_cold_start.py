@@ -6,57 +6,38 @@ reports to a temporary directory) and is timed from spawn to exit, so the
 figure includes interpreter start-up and every import the CLI pulls in,
 not only the computation.
 
-With ``--baseline REV`` the ``src/`` tree of that git revision is
-extracted to a temporary directory and timed in the same rounds as the
-checkout, alternating which tree goes first, so both sides see the same
-machine state. Every run must exit 0, and every run of one tree must
-write the same ``iterations.jsonl`` (its md5 is in the report). The
-report gives every run and the median and interquartile range per tree,
-plus the commit, ``nproc``, Python and numpy.
+With ``--baseline SRC`` the package sources under SRC, for example
+``<dir>/src`` after ``git worktree add <dir> <rev>``, are timed in the
+same rounds as the checkout, alternating which tree goes first, so both
+sides see the same machine state. Every run must exit 0, and every run
+of one tree must write the same ``iterations.jsonl`` (its md5 is in the
+report). The report gives every run and the median and interquartile
+range per tree, plus the commit (the baseline's too), ``nproc``, Python
+and numpy.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_cold_start.py [--runs 10] [--baseline REV] [--out BENCH_cold_start.json]
+    python3 benchmarks/bench_cold_start.py [--runs 10] [--baseline ../parent/src] \\
+        [--out BENCH_cold_start.json]
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
-import json
 import os
-import platform
-import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from _bench import environment, summarize, write_report  # noqa: E402
+
 SEED = 7
-
-
-def git(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=False)
-
-
-def commit_of(rev: str) -> str | None:
-    return git("rev-parse", rev).stdout.decode().strip() or None
-
-
-def extract_src(rev: str, dest: Path) -> Path:
-    """Write the ``src/`` tree of ``rev`` under ``dest``; return that ``src``."""
-    archive = git("archive", "--format=tar", rev, "src")
-    if archive.returncode != 0:
-        raise RuntimeError(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(dest, filter="data")
-    return dest / "src"
 
 
 def timed(argv: list[str], src: Path, cwd: Path) -> float:
@@ -68,14 +49,6 @@ def timed(argv: list[str], src: Path, cwd: Path) -> float:
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: {done.stderr.decode()[-500:]}")
     return elapsed
-
-
-def summarize(durations: list[float]) -> dict:
-    iqr = 0.0
-    if len(durations) > 1:
-        q1, _, q3 = statistics.quantiles(durations, n=4)
-        iqr = q3 - q1
-    return {"median_s": statistics.median(durations), "iqr_s": iqr, "runs_s": durations}
 
 
 def measure(trees: list[tuple[str, Path]], runs: int, cli_args: list[str]) -> list[dict]:
@@ -105,27 +78,15 @@ def measure(trees: list[tuple[str, Path]], runs: int, cli_args: list[str]) -> li
     ]
 
 
-def environment() -> dict:
-    # "<hash>-dirty" when the measured tree has uncommitted changes.
-    commit = git("describe", "--always", "--dirty", "--abbrev=40").stdout.decode().strip()
-    return {
-        "commit": commit or None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-    }
-
-
-def run(runs: int, baseline: str | None = None, cli_args: list[str] | None = None) -> dict:
+def run(runs: int, baseline: Path | None = None, cli_args: list[str] | None = None) -> dict:
     cli_args = cli_args or ["--scenario", "bo-qubo", "--seed", str(SEED)]
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = [("checkout", ROOT / "src")]
-        if baseline is not None:
-            trees.append(("baseline", extract_src(baseline, Path(tmp))))
-        results = measure(trees, runs, cli_args)
+    trees = [("checkout", ROOT / "src")]
     if baseline is not None:
-        results[1]["commit"] = commit_of(baseline)
+        # Absolute: every run starts in a temporary directory.
+        trees.append(("baseline", Path(baseline).resolve()))
+    results = measure(trees, runs, cli_args)
+    if baseline is not None:
+        results[1]["commit"] = environment(baseline)["commit"]
     for row in results:
         print(
             f"{row['label']:>8}: run {row['run']['median_s']:.3f} s (IQR {row['run']['iqr_s']:.3f}) | "
@@ -134,7 +95,7 @@ def run(runs: int, baseline: str | None = None, cli_args: list[str] | None = Non
     report = {
         "benchmark": "cold start: fresh interpreters, spawn to exit",
         "command": ["probeopt", "run", *cli_args],
-        "environment": environment(),
+        "environment": environment(ROOT),
         "runs": runs,
         "results": results,
     }
@@ -147,12 +108,10 @@ def run(runs: int, baseline: str | None = None, cli_args: list[str] | None = Non
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--baseline", help="git revision to time alongside the checkout")
+    parser.add_argument("--baseline", type=Path, help="package sources to time alongside the checkout")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cold_start.json")
     args = parser.parse_args(argv)
-    report = run(args.runs, args.baseline)
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    write_report(run(args.runs, args.baseline), args.out)
     return 0
 
 

@@ -39,11 +39,13 @@ from typing import Any, Optional
 from ..bo.search import BayesSearch
 from ..errors import ConfigError
 from ..evaluator import (
+    REQUEST_PORT,
     EvalConfig,
     LatencyModel,
     SchedulingEvaluator,
     search_space,
 )
+from ..evaluator import RESULT_PORT as EVALUATOR_RESULT_PORT
 from ..optimizer.loop import (
     CANDIDATE_PORT,
     RESULT_PORT,
@@ -156,8 +158,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     graph = ProcessGraph()
     graph.add_process(optimizer)
     graph.add_process(evaluator)
-    graph.connect(optimizer.out_port(CANDIDATE_PORT), evaluator.in_port("request_in"), capacity=8)
-    graph.connect(evaluator.out_port("result_out"), optimizer.in_port(RESULT_PORT), capacity=8)
+    graph.connect(optimizer.out_port(CANDIDATE_PORT), evaluator.in_port(REQUEST_PORT), capacity=8)
+    graph.connect(evaluator.out_port(EVALUATOR_RESULT_PORT), optimizer.in_port(RESULT_PORT), capacity=8)
 
     clock = None if cfg.scenario == "async-probe" else VirtualClock()
     recorder = ListRecorder()

@@ -142,10 +142,6 @@ class ProcessContext:
         self._recorder = recorder
         self.steps = 0
 
-    @property
-    def name(self) -> str:
-        return self._proc.name
-
     def _channel(self, port_name: str, direction: Direction) -> Channel:
         spec = self._proc._port(port_name, direction)
         if spec.channel is None:

@@ -37,3 +37,13 @@ def test_trees_alternate_and_agree():
 def test_failing_run_is_rejected():
     with pytest.raises(RuntimeError, match="exited 2"):
         bench.measure([("a", bench.ROOT / "src")], runs=1, cli_args=[*TINY, "--problem-json", "missing.json"])
+
+
+def test_baseline_is_a_source_tree():
+    report = bench.run(runs=2, baseline=bench.ROOT / "src", cli_args=TINY)
+    checkout, baseline = report["results"]
+    assert [checkout["label"], baseline["label"]] == ["checkout", "baseline"]
+    assert checkout["iterations_md5"] == baseline["iterations_md5"]
+    assert report["speedup"] > 0.0
+    assert baseline["commit"] is not None
+    assert baseline["commit"] == report["environment"]["commit"]
