@@ -23,7 +23,10 @@ package has it.
 
 ``--baseline SRC`` runs the same inputs on the package sources under
 SRC, for example ``<dir>/src`` after ``git worktree add <dir> <rev>``,
-in a fresh interpreter and stores its report under ``baseline``.
+and stores its report under ``baseline``. Each tree then runs in a
+worker interpreter of its own, and the repeats alternate between the
+two, the first swapping every repeat (``_bench.interleave``), so drift
+on the machine falls on both trees alike.
 
 Run from the repository root:
 
@@ -37,11 +40,8 @@ import argparse
 import copy
 import gc
 import importlib
-import json
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -50,7 +50,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-from _bench import environment, summarize, write_report  # noqa: E402
+from _bench import environment, interleave, serve, summarize, write_report  # noqa: E402
 
 N_OBS = (5, 10, 25, 100, 250)
 
@@ -119,19 +119,35 @@ def check_suggestions(bo, search, calls):
     return counts or None
 
 
-def run(n_obs, repeats, calls, seed, src=ROOT / "src"):
+def prepare(n_obs, calls, seed, src):
+    """Import the package under ``src``, build each n's search and check its
+    suggestions. Returns (cases, info): cases the (n, search, last
+    observation) to time, info what the report needs of the tree."""
     sys.path.insert(0, str(src))
     bo = importlib.import_module("probeopt.bo")
     space = importlib.import_module("probeopt.evaluator").search_space()
-    rows = []
+    cases, contenders = [], []
     for n in n_obs:
         search, last = searches(bo, space, n, seed)
-        counts = check_suggestions(bo, search, calls)
-        suggest, update = [], []
-        for _ in range(repeats):
-            suggest.append(time_suggest(search, calls))
-            update.append(time_update(search, last, calls))
+        contenders.append(check_suggestions(bo, search, calls))
+        cases.append((n, search, last))
+    info = {"environment": environment(src), "n_cand": search.n_cand, "contenders": contenders}
+    return cases, info
+
+
+def time_round(cases, calls):
+    """One repeat: (suggest, update) seconds per call at each n."""
+    return [(time_suggest(search, calls), time_update(search, last, calls)) for _, search, last in cases]
+
+
+def report(n_obs, info, rounds, repeats, calls, seed):
+    """The report of one tree from its ``prepare`` info and timed rounds."""
+    rows = []
+    for i, n in enumerate(n_obs):
+        suggest = [sample[i][0] for sample in rounds]
+        update = [sample[i][1] for sample in rounds]
         row = {"n": n, "suggest": summarize(suggest, "us"), "update": summarize(update, "us")}
+        counts = info["contenders"][i]
         if counts is not None:
             row["contenders"] = {"median": statistics.median(counts), "max": max(counts), "counts": counts}
         line = (
@@ -144,13 +160,33 @@ def run(n_obs, repeats, calls, seed, src=ROOT / "src"):
         rows.append(row)
     return {
         "benchmark": "BayesSearch suggest and update per call at n observations",
-        "environment": environment(src),
-        "n_cand": search.n_cand,
+        "environment": info["environment"],
+        "n_cand": info["n_cand"],
         "repeats": repeats,
         "calls": calls,
         "seed": seed,
         "results": rows,
     }
+
+
+def run(n_obs, repeats, calls, seed, src=ROOT / "src"):
+    cases, info = prepare(n_obs, calls, seed, src)
+    return report(n_obs, info, [time_round(cases, calls) for _ in range(repeats)], repeats, calls, seed)
+
+
+def run_interleaved(n_obs, repeats, calls, seed, src, baseline):
+    """The reports of ``src`` and ``baseline``, each tree in a worker
+    interpreter of its own, their rounds alternating (``_bench.interleave``);
+    the baseline's report goes under ``baseline``."""
+    worker = [sys.executable, str(Path(__file__).resolve()), "--worker", "--calls", str(calls)]
+    worker += ["--seed", str(seed), "--n-obs", ",".join(map(str, n_obs))]
+    trees = {"checkout": src, "baseline": baseline}
+    results = interleave({label: [*worker, "--src", str(tree)] for label, tree in trees.items()}, repeats)
+    reports = {}
+    for label, (info, rounds) in results.items():
+        print(f"{label}:")
+        reports[label] = report(n_obs, info, rounds, repeats, calls, seed)
+    return {**reports["checkout"], "baseline": reports["baseline"]}
 
 
 def main(argv=None) -> int:
@@ -161,16 +197,18 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="package sources to time")
     parser.add_argument("--baseline", type=Path, help="sources to time the same inputs on, for comparison")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_bo_step.json")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--n-obs", default=",".join(map(str, N_OBS)), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    report = run(N_OBS, args.repeats, args.calls, args.seed, args.src)
-    if args.baseline is not None:
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "baseline.json"
-            cmd = [sys.executable, __file__, "--repeats", str(args.repeats), "--calls", str(args.calls)]
-            cmd += ["--seed", str(args.seed), "--src", str(args.baseline), "--out", str(out)]
-            subprocess.run(cmd, check=True)
-            report["baseline"] = json.loads(out.read_text(encoding="utf-8"))
-    write_report(report, args.out)
+    if args.worker:
+        n_obs = tuple(int(n) for n in args.n_obs.split(","))
+        serve(lambda: prepare(n_obs, args.calls, args.seed, args.src), lambda cases: time_round(cases, args.calls))
+        return 0
+    if args.baseline is None:
+        report_ = run(N_OBS, args.repeats, args.calls, args.seed, args.src)
+    else:
+        report_ = run_interleaved(N_OBS, args.repeats, args.calls, args.seed, args.src, args.baseline.resolve())
+    write_report(report_, args.out)
     return 0
 
 

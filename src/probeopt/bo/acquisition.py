@@ -15,6 +15,8 @@ _R_HI = 4.0 / math.sqrt(2.0 * math.pi)
 _R_LO = 8.0 / math.sqrt(2.0 * math.pi)
 _SLACK = 2.0**-40
 _FLOOR = 2.0**-1000
+# At z <= -40 both phi(z) and Phi(z) are exactly 0 as computed, so EI is 0.
+_ZERO_Z = 40.0
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -103,8 +105,16 @@ def ei_contenders(mean: np.ndarray, var: np.ndarray, y_best: float, xi: float = 
     largest upper bound. A candidate is pruned only when its upper bound
     is below that threshold and the threshold is at least ``2^-1000``:
     two such distinct floats differ by at least ``2^-1053``, far more than
-    the underflow errors. Otherwise (EI zero or underflowing everywhere,
-    or a non-finite input) every candidate is kept.
+    the underflow errors.
+
+    Below ``2^-1000`` (EI zero or underflowing everywhere) the bounds
+    decide nothing, and only the candidates whose EI is exactly 0 are
+    dropped: those with ``d < 0`` and ``a >= 40``, where ``z <= -40``
+    gives ``exp(-z^2 / 2) = 0`` and ``erfc(-z sqrt(1/2)) = 0`` in floats,
+    so ``expected_improvement`` returns ``d * 0 + sigma * 0 = 0``. Every
+    EI is at least 0, so the first maximizer is a kept candidate unless
+    every EI is 0; index 0, that case's first maximizer, is always kept.
+    A non-finite input (a non-finite threshold) keeps every candidate.
     """
     mean = np.asarray(mean, dtype=float)
     sigma = np.sqrt(np.maximum(np.asarray(var, dtype=float), 0.0))
@@ -132,6 +142,11 @@ def ei_contenders(mean: np.ndarray, var: np.ndarray, y_best: float, xi: float = 
     r_lo = _R_LO / ((s8 + aj) * (3.0 * aj + s8))
     lower = max(d, 0.0) - _SLACK * abs(d) + s * math.exp(-0.5 * aj * aj) * (r_lo - _SLACK)
     threshold = lower * (1.0 - _SLACK)
-    if not _FLOOR <= threshold < math.inf:
+    if _FLOOR <= threshold < math.inf:
+        return (upper >= threshold).nonzero()[0]
+    if not math.isfinite(threshold):
         return np.arange(upper.size)
-    return (upper >= threshold).nonzero()[0]
+    z = np.divide(improve, sigma, out=np.zeros(sigma.shape), where=sigma > 0.0)
+    keep = z > -_ZERO_Z
+    keep[0] = True
+    return keep.nonzero()[0]

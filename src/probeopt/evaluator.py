@@ -15,7 +15,7 @@ would send, so tests can predict every reply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -25,7 +25,7 @@ from .errors import ProbeoptError, ConfigError
 from .qubo.anneal import AnnealParams, solve
 from .qubo.conflict import ConflictGraph, build_conflict_graph
 from .qubo.model import to_qubo
-from .qubo.problem import SatelliteProblem, generate_geometry
+from .qubo.problem import QuboWeights, SatelliteProblem, generate_geometry
 from .qubo.schedule import decode
 from .bo.search import SearchSpace
 from .runtime.process import Process, ProcessContext
@@ -103,8 +103,8 @@ def evaluate_params(
     rng: np.random.Generator,
 ) -> int:
     """Score one (w_penalty, t_start) point: anneal, repair, count requests."""
-    weights = replace(problem.qubo_weights, w_penalty=float(x[0]))
-    params = replace(solver, t_start=float(x[1]))
+    weights = QuboWeights(problem.qubo_weights.w_reward, float(x[0]))
+    params = AnnealParams(solver.sweeps, float(x[1]), solver.t_end)
     graph = conflict_graph(problem)
     if graph.n == 0:
         return 0

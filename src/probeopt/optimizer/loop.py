@@ -70,7 +70,7 @@ class OptimizerCore(Process):
         ctx.set_ref("done", True)
 
     def _send_next(self, ctx: ProcessContext) -> None:
-        request = ParamVector(self.completed, tuple(float(v) for v in self.search.suggest()))
+        request = ParamVector(self.completed, tuple(map(float, self.search.suggest())))
         ctx.send(CANDIDATE_PORT, request)
         self._pending = request
 

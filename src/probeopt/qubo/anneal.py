@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .kernels import sweep
+from .kernels import sweep, temperature_schedule  # noqa: F401 - AnnealParams' ladder, re-exported
 from .model import ConflictQubo
 
 
@@ -24,15 +24,6 @@ class AnnealParams:
             raise ConfigError("temperatures must satisfy t_start >= t_end > 0")
 
 
-def temperature_schedule(params: AnnealParams) -> np.ndarray:
-    """Geometric ladder from t_start down to t_end, one rung per sweep."""
-    if params.sweeps == 1:
-        return np.array([params.t_start])
-    ratio = params.t_end / params.t_start
-    exponents = np.arange(params.sweeps) / (params.sweeps - 1)
-    return params.t_start * ratio**exponents
-
-
 def solve(qubo: ConflictQubo, params: AnnealParams, rng: np.random.Generator) -> np.ndarray:
     """Anneal from the all-zeros state; return the best state visited before
     a certified stop, int64 0/1.
@@ -42,12 +33,12 @@ def solve(qubo: ConflictQubo, params: AnnealParams, rng: np.random.Generator) ->
     determines the result. The sweeps stop once the best state selects
     ``qubo.clique_cover`` nodes with no conflict: it is then a maximum
     independent set, and the best state of the full schedule would score
-    the same (``kernels``). The kernel draws the first sweep's rolls, and
-    the rest only if it goes on.
+    the same (``kernels``). A solve pays only for the sweeps it runs: the
+    kernel draws the first sweep's rolls and runs it at ``t_start``, and
+    draws the other rolls and builds the ``temperature_schedule`` ladder
+    only if it goes on.
     """
-    n = qubo.n
-    temps = temperature_schedule(params)
-    state = np.zeros(n, dtype=np.int64)
-    best_state = np.zeros(n, dtype=np.int64)
-    sweep(qubo, temps, rng, state, best_state, clique_cover=qubo.clique_cover)
+    state = np.zeros(qubo.n, dtype=np.int64)
+    best_state = np.zeros(qubo.n, dtype=np.int64)
+    sweep(qubo, params, rng, state, best_state, clique_cover=qubo.clique_cover)
     return best_state

@@ -37,7 +37,10 @@ Given a generator in place of the rolls, the kernel draws the first
 sweep's row alone and the other rows only once that sweep has not
 stopped: ``Generator.random`` fills row by row, so the rolls are those of
 ``rng.random((sweeps, n))``, and a solve that stops in its first sweep
-pays for one row.
+pays for one row. Given the ``AnnealParams`` in place of the
+temperatures, it likewise runs the first sweep at ``t_start``, the
+ladder's first rung exactly, and builds ``temperature_schedule(params)``
+only once that sweep has not stopped.
 
 Certified stop (opt-in: ``clique_cover=M``, the size of a clique cover of
 the graph; without it every sweep of the schedule runs). A conflict-free
@@ -115,19 +118,35 @@ def stop_energy(n, degree, sweeps, w_reward, w_penalty, clique_cover):
 def certified(idx, stride, clique_cover):
     """Whether the state with count indices ``idx`` selects exactly
     ``clique_cover`` variables, none with a selected neighbour."""
-    return idx.count(stride) == clique_cover == sum(i >= stride for i in idx)
+    # Unselected counts lie below stride: with every selected one at
+    # stride, exactly the count(stride) variables are selected.
+    return idx.count(stride) == clique_cover and max(idx) <= stride
+
+
+def temperature_schedule(params) -> np.ndarray:
+    """Geometric ladder from t_start down to t_end, one rung per sweep.
+
+    Its first rung is ``t_start`` exactly: ``ratio ** 0.0 == 1.0``.
+    """
+    if params.sweeps == 1:
+        return np.array([params.t_start])
+    ratio = params.t_end / params.t_start
+    exponents = np.arange(params.sweeps) / (params.sweeps - 1)
+    return params.t_start * ratio**exponents
 
 
 def sweep(qubo, temps, uniforms, state, best_state, clique_cover=None):
     """Sequential single-flip Metropolis sweeps over a ``ConflictQubo``.
 
-    temps: (sweeps,) temperature per sweep. uniforms: (sweeps, n)
-    accept rolls, one per flip attempt, so the trajectory is a pure
-    function of the inputs; or a ``np.random.Generator`` that draws them
-    as ``uniforms.random((sweeps, n))`` would, the first sweep's row
-    before the rest (module docstring). state (0/1 per variable) is
-    mutated in place; best_state receives the lowest energy
-    configuration visited.
+    temps: (sweeps,) temperature per sweep, or the ``AnnealParams`` whose
+    ``temperature_schedule`` those are; the kernel then builds that ladder
+    only once the first sweep, which runs at ``t_start``, has not stopped.
+    uniforms: (sweeps, n) accept rolls, one per flip attempt, so the
+    trajectory is a pure function of the inputs; or a
+    ``np.random.Generator`` that draws them as
+    ``uniforms.random((sweeps, n))`` would, the first sweep's row before
+    the rest (module docstring). state (0/1 per variable) is mutated in
+    place; best_state receives the lowest energy configuration visited.
     With ``clique_cover`` (the size of a clique cover of the graph) the
     sweeps stop at the first best state certified optimal, as the module
     docstring sets out; without it every sweep of the schedule runs.
@@ -135,44 +154,55 @@ def sweep(qubo, temps, uniforms, state, best_state, clique_cover=None):
     """
     neighbours = qubo.neighbours
     w_reward, w_penalty = qubo.w_reward, qubo.w_penalty
-    stride = max(map(len, neighbours), default=0) + 1
-    field = [0.0]
-    for _ in range(1, stride):
-        field.append(field[-1] + w_penalty)
-    table = [-w_reward + s for s in field]
+    stride = qubo.degree + 1
+    table, field = [], 0.0  # field runs through S[0], S[1], ...
+    for _ in range(stride):
+        table.append(-w_reward + field)
+        field += w_penalty
     table += [-d for d in table]
     uphill = [(i, -d) for i, d in enumerate(table) if d > 0.0]
 
     x = state.tolist()
-    idx = [bit * stride for bit in x]
+    n = len(x)
     e = 0.0
-    for i, row in enumerate(neighbours):
-        if x[i]:
-            e += -w_reward
-            for j in row:
-                idx[j] += 1
-                if j > i and x[j]:
-                    e += w_penalty
+    if 1 in x:
+        idx = [bit * stride for bit in x]
+        for i, row in enumerate(neighbours):
+            if x[i]:
+                e += -w_reward
+                for j in row:
+                    idx[j] += 1
+                    if j > i and x[j]:
+                        e += w_penalty
+    else:  # the all-zeros start: no count to take
+        idx = [0] * n
     best = e
     best_idx = idx[:]
     exp = math.exp
     thr = [math.inf] * len(table)
-    ceiling = max((neg for _, neg in uphill), default=-math.inf)
-    n = len(idx)
+    if isinstance(temps, np.ndarray):
+        sweeps, ladder = len(temps), temps.tolist()
+    else:  # the schedule's parameters: its ladder waits for a second sweep
+        sweeps, ladder = temps.sweeps, [temps.t_start]
     certain = -math.inf
     if clique_cover is not None:
-        certain = stop_energy(n, stride - 1, len(temps), w_reward, w_penalty, clique_cover)
+        certain = stop_energy(n, stride - 1, sweeps, w_reward, w_penalty, clique_cover)
     rng = None
     if isinstance(uniforms, np.random.Generator):
         rng, uniforms = uniforms, uniforms.random((1, n))
     rolls = array("d", uniforms.tobytes())
     lows = uniforms.min(axis=1).tolist() if rng is None else None
     frozen = False
-    for s, t in enumerate(temps.tolist()):
-        if s == 1 and rng is not None:  # the first sweep did not stop
-            rest = rng.random((len(temps) - 1, n))
-            rolls.frombytes(rest.tobytes())
-            lows = [0.0, *rest.min(axis=1).tolist()]  # lows[0] is never read
+    for s in range(sweeps):
+        if s == 1:  # the first sweep did not stop; the first never skips
+            ceiling = max((neg for _, neg in uphill), default=-math.inf)
+            if len(ladder) < sweeps:
+                ladder = temperature_schedule(temps).tolist()
+            if rng is not None:
+                rest = rng.random((sweeps - 1, n))
+                rolls.frombytes(rest.tobytes())
+                lows = [0.0, *rest.min(axis=1).tolist()]  # lows[0] is never read
+        t = ladder[s]
         if frozen and lows[s] >= exp(ceiling / t):
             continue
         for i, neg in uphill:
@@ -199,6 +229,7 @@ def sweep(qubo, temps, uniforms, state, best_state, clique_cover=None):
         else:
             continue
         break  # certified optimal: no later sweep can change the score
-    state[:] = [int(i >= stride) for i in idx]
-    best_state[:] = [int(i >= stride) for i in best_idx]
+    bits = [i // stride for i in idx]  # every count is below stride
+    state[:] = bits
+    best_state[:] = bits if best_idx == idx else [i // stride for i in best_idx]
     return e, best

@@ -26,6 +26,7 @@ class ConflictQubo:
     w_reward: float
     w_penalty: float
     neighbours: tuple[tuple[int, ...], ...]  # per node, sorted, no self or repeat
+    degree: int  # the most neighbours any node has
     # Cliques in a greedy clique cover. A conflict-free selection takes at
     # most one node of each clique, so it selects at most this many nodes;
     # one that selects exactly this many is a maximum independent set.
@@ -40,22 +41,24 @@ def to_qubo(graph: ConflictGraph, weights: QuboWeights) -> ConflictQubo:
     """
     if graph.n == 0:
         raise EmptyGraph("conflict graph has no nodes")
-    neighbours, clique_cover = _graph_tables(graph)
+    neighbours, degree, clique_cover = _graph_tables(graph)
     return ConflictQubo(
         n=graph.n,
         w_reward=weights.w_reward,
         w_penalty=weights.w_penalty,
         neighbours=neighbours,
+        degree=degree,
         clique_cover=clique_cover,
     )
 
 
 @lru_cache(maxsize=1)
-def _graph_tables(graph: ConflictGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Each node's sorted neighbours, and the size of a greedy clique cover.
+def _graph_tables(graph: ConflictGraph) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """Each node's sorted neighbours, the largest degree, and the size of a
+    greedy clique cover.
 
     Cached: a run tunes the weights of one graph, so every request of a
-    run shares both.
+    run shares all three.
     """
     n = graph.n
     neighbours: list[set[int]] = [set() for _ in range(n)]
@@ -69,7 +72,7 @@ def _graph_tables(graph: ConflictGraph) -> tuple[tuple[tuple[int, ...], ...], in
         neighbours[i].add(j)
         neighbours[j].add(i)
     rows = tuple(tuple(sorted(row)) for row in neighbours)
-    return rows, _greedy_clique_cover(rows, neighbours)
+    return rows, max(map(len, rows)), _greedy_clique_cover(rows, neighbours)
 
 
 def _greedy_clique_cover(rows, neighbours) -> int:

@@ -23,7 +23,7 @@ def decode(state: np.ndarray, graph: ConflictGraph) -> Schedule:
     """Greedy repair: repeatedly drop the selected node with the most
     violated incident edges (ties toward the higher index) until the
     selection is conflict-free, then score distinct requests served."""
-    selected = {i for i, bit in enumerate(np.asarray(state).ravel()) if bit}
+    selected = {i for i, bit in enumerate(np.asarray(state).ravel().tolist()) if bit}
     while True:
         violated = violated_edges(graph, selected)
         if not violated:

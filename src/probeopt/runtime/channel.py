@@ -4,9 +4,10 @@ A channel is the only way data moves between processes. ``send`` waits
 while the buffer is full, ``recv`` waits while it is empty, and ``probe``
 never waits. Both check the closed peer first. Inside a graph one driver
 thread steps every process, so no peer can ever end such a wait: a
-graph's channels raise RunAborted at the op instead, and the driver
-reports it as the deadlock. A standalone channel waits on a condition
-variable, so two threads of its own can drive it.
+graph's channels (``blocking=False``) raise RunAborted at the op instead,
+and the driver reports it as the deadlock. Only that one thread ever
+touches a graph channel, so its ops take no lock. A standalone channel
+waits on a condition variable, so two threads of its own can drive it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class Channel:
         self._blocking = blocking
         self._buf: deque[Token] = deque()
         self._cond = threading.Condition()
+        # Every answer probe can give, built once: the count never exceeds capacity.
+        self._probes = tuple(ProbeResult(count) for count in range(capacity + 1))
         self._producer_closed = False
         self._consumer_closed = False
         # Endpoint labels, filled in by graph.connect for diagnostics.
@@ -70,28 +73,40 @@ class Channel:
         return self._consumer_closed
 
     def close_producer(self) -> None:
+        if not self._blocking:
+            self._producer_closed = True
+            return
         with self._cond:
             self._producer_closed = True
             self._cond.notify_all()
 
     def close_consumer(self) -> None:
+        if not self._blocking:
+            self._consumer_closed = True
+            return
         with self._cond:
             self._consumer_closed = True
             self._cond.notify_all()
 
     # -- data plane -------------------------------------------------------
-
-    def _wait(self, who: str, op: str, port: str) -> None:
-        """Wait for a peer; in a graph, raise: no peer can come."""
-        if not self._blocking:
-            raise RunAborted(f"{who} blocked in {op} on {port}")
-        self._cond.wait()
+    #
+    # Each op checks in the same order on both kinds of channel: a send to a
+    # closed consumer raises Disconnected even when the buffer is full, and
+    # recv drains the buffer before it raises Disconnected. Where a graph
+    # channel would have to wait, it raises RunAborted naming the port.
 
     def send(self, token: Token) -> None:
         """Enqueue a token, waiting while the buffer is full."""
+        if not self._blocking:
+            if self._consumer_closed:
+                raise Disconnected(f"{self.cid}: consumer closed")
+            if len(self._buf) >= self.capacity:
+                raise RunAborted(f"{self.producer_label} blocked in send on {self.producer_port}")
+            self._buf.append(token)
+            return
         with self._cond:
             while not self._consumer_closed and len(self._buf) >= self.capacity:
-                self._wait(self.producer_label, "send", self.producer_port)
+                self._cond.wait()
             if self._consumer_closed:
                 raise Disconnected(f"{self.cid}: consumer closed")
             self._buf.append(token)
@@ -108,9 +123,15 @@ class Channel:
 
     def recv(self) -> Token:
         """Dequeue the oldest token, waiting while the buffer is empty."""
+        if not self._blocking:
+            if self._buf:
+                return self._buf.popleft()
+            if self._producer_closed:
+                raise Disconnected(f"{self.cid}: producer closed")
+            raise RunAborted(f"{self.consumer_label} blocked in recv on {self.consumer_port}")
         with self._cond:
             while not self._buf and not self._producer_closed:
-                self._wait(self.consumer_label, "recv", self.consumer_port)
+                self._cond.wait()
             if not self._buf:
                 raise Disconnected(f"{self.cid}: producer closed")
             token = self._buf.popleft()
@@ -123,5 +144,7 @@ class Channel:
         Never raises: a disconnected channel simply probes Empty once
         drained, and the flag is readable via ``producer_closed``.
         """
+        if not self._blocking:
+            return self._probes[len(self._buf)]
         with self._cond:
-            return ProbeResult(count=len(self._buf))
+            return self._probes[len(self._buf)]

@@ -226,25 +226,25 @@ class RunHandle:
             self._finish_proc(proc)
             return False
 
-    def _turn(self, proc: Process, ctx: ProcessContext, paused: set[str]) -> bool:
+    def _turn(self, proc: Process, ctx: ProcessContext, commands: deque, paused: set[str]) -> bool:
         """Command check, then one step unless the process is paused.
 
         Returns True once the process is done: it took Stop, its step said
         so, a peer disconnected, or the step crashed (recorded in
         ``errors``). RunAborted propagates: it is the deadlock.
         """
-        commands = self.graph._commands[proc.name]
-        cmd = commands.popleft() if commands else None  # only the driver pops: no race
-        if cmd is not None:
-            self.recorder.emit("command", proc=proc.name, command=cmd.value)
-        if cmd is CommandKind.STOP:
-            return True
-        if cmd is CommandKind.PAUSE:
-            paused.add(proc.name)
-        elif cmd is CommandKind.RUN:
-            paused.discard(proc.name)
-        if proc.name in paused:
-            return False
+        if commands or paused:  # commands are rare: most turns skip straight to the step
+            cmd = commands.popleft() if commands else None  # only the driver pops: no race
+            if cmd is not None:
+                self.recorder.emit("command", proc=proc.name, command=cmd.value)
+            if cmd is CommandKind.STOP:
+                return True
+            if cmd is CommandKind.PAUSE:
+                paused.add(proc.name)
+            elif cmd is CommandKind.RUN:
+                paused.discard(proc.name)
+            if proc.name in paused:
+                return False
         try:
             finished = proc.step(ctx)
         except Disconnected:
@@ -257,12 +257,6 @@ class RunHandle:
             finished = True
         ctx.steps += 1
         return finished
-
-    def _rest(self, proc: Process, paused: set[str]) -> float:
-        """How long a process sleeps after a turn."""
-        if proc.name in paused:
-            return max(proc.step_interval, _PAUSE_POLL_S)
-        return proc.step_interval
 
     def _finish_proc(self, proc: Process) -> None:
         if self.graph.is_terminated(proc.name):
@@ -283,8 +277,10 @@ class RunHandle:
         it is the deadlock.
         """
         ts = self.ts
+        floor, gate, sleep = ts.floor, ts.gate, ts.sleep  # looked up once, not per turn
+        procs, ctxs, queues = self.graph._procs, self.ctxs, self.graph._commands
+        max_steps, turn = self.limits.max_steps, self._turn
         paused: set[str] = set()
-        procs = self.graph._procs
         live = set(procs)
         idle: set[str] = set()  # processes that took a paused turn since the last step
         try:
@@ -292,19 +288,20 @@ class RunHandle:
                 if not self._setup(proc):
                     ts.unregister(proc.name)
                     live.discard(proc.name)
-            while (name := ts.floor()) is not None:
-                proc, ctx = procs[name], self.ctxs[name]
+            while (name := floor()) is not None:
+                proc, ctx = procs[name], ctxs[name]
                 self.turn = name
-                ts.gate(name)
-                if ctx.steps >= self.limits.max_steps or self._turn(proc, ctx, paused):
+                gate(name)
+                if ctx.steps >= max_steps or turn(proc, ctx, queues[name], paused):
                     self._finish_proc(proc)
                     ts.unregister(name)
                     live.discard(name)
                     continue
-                ctx.sleep(self._rest(proc, paused))
                 if name not in paused:
+                    sleep(name, proc.step_interval)
                     idle.clear()
                     continue
+                sleep(name, max(proc.step_interval, _PAUSE_POLL_S))
                 idle.add(name)
                 if idle >= live:  # a whole pass stepped nothing
                     time.sleep(_IDLE_PASS_S)

@@ -134,31 +134,55 @@ class Process:
 
 
 class ProcessContext:
-    """Everything a process may touch while running."""
+    """Everything a process may touch while running.
+
+    Each port's channel is looked up, and checked, on its first use, and
+    kept: the ops of a step then cost one dict lookup each.
+    """
 
     def __init__(self, proc: Process, time_source: TimeSource, recorder: Recorder) -> None:
         self._proc = proc
         self._time = time_source
         self._recorder = recorder
+        self._ins: dict[str, Channel] = {}
+        self._outs: dict[str, Channel] = {}
         self.steps = 0
 
     def _channel(self, port_name: str, direction: Direction) -> Channel:
+        """The channel of a connected port; raises for any other name."""
         spec = self._proc._port(port_name, direction)
         if spec.channel is None:
             raise ConfigError(f"{self._proc.name}.{port_name} is not connected")
+        resolved = self._ins if direction is Direction.IN else self._outs
+        resolved[port_name] = spec.channel
         return spec.channel
 
     def send(self, port_name: str, token: Token) -> None:
-        self._channel(port_name, Direction.OUT).send(token)
+        try:
+            channel = self._outs[port_name]
+        except KeyError:
+            channel = self._channel(port_name, Direction.OUT)
+        channel.send(token)
 
     def recv(self, port_name: str) -> Token:
-        return self._channel(port_name, Direction.IN).recv()
+        try:
+            channel = self._ins[port_name]
+        except KeyError:
+            channel = self._channel(port_name, Direction.IN)
+        return channel.recv()
 
     def probe(self, port_name: str) -> ProbeResult:
-        return self._channel(port_name, Direction.IN).probe()
+        try:
+            channel = self._ins[port_name]
+        except KeyError:
+            channel = self._channel(port_name, Direction.IN)
+        return channel.probe()
 
     def port_disconnected(self, port_name: str) -> bool:
         """Has the peer side of this port closed? An unconnected port has no peer."""
+        channel = self._ins.get(port_name)
+        if channel is not None:
+            return channel.producer_closed
         spec = self._proc._port(port_name)
         if spec.channel is None:
             return True

@@ -43,9 +43,11 @@ class TimeSource:
 
     def floor(self) -> Optional[str]:
         """The participant whose turn is next; None once none is left."""
-        if not self._times:
-            return None
-        return min(self._times, key=lambda name: (self._times[name], name))
+        floor, floor_at = None, 0.0
+        for name, at in self._times.items():  # one pass for the least (time, name)
+            if floor is None or at < floor_at or (at == floor_at and name < floor):
+                floor, floor_at = name, at
+        return floor
 
     def gate(self, name: str) -> None:
         """Called as ``name`` is about to act: sleep until it is due."""

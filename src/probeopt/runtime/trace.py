@@ -27,9 +27,7 @@ class ListRecorder(Recorder):
 
     def emit(self, kind: str, **fields: Any) -> None:
         with self._lock:
-            event = {"seq": len(self._events), "kind": kind}
-            event.update(fields)
-            self._events.append(event)
+            self._events.append({"seq": len(self._events), "kind": kind, **fields})
 
     def events(self, kind: str | None = None) -> list[dict[str, Any]]:
         with self._lock:

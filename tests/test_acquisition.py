@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from probeopt.bo.acquisition import ei_contenders, expected_improvement
 from probeopt.bo.gp import GPHyper, gp_fit, gp_predict
@@ -130,10 +131,54 @@ def test_pruned_argmax_on_gp_posteriors_keeps_few_candidates():
     assert np.median(counts) <= 8
 
 
-def test_every_candidate_is_kept_where_ei_is_zero_everywhere():
+def test_only_the_first_candidate_is_kept_where_ei_is_zero_everywhere():
+    # z = -5000: EI is exactly 0 everywhere, and np.argmax picks index 0.
     mean, var = np.full(5, -50.0), np.full(5, 1e-4)
     assert expected_improvement(mean, var, 0.0).max() == 0.0
-    assert ei_contenders(mean, var, 0.0).tolist() == [0, 1, 2, 3, 4]
+    assert ei_contenders(mean, var, 0.0).tolist() == [0]
+
+
+def _far_tail_case(rng, kind):
+    """(mean, var, y_best, xi) of a batch whose every EI is below 2^-1000."""
+    m = int(rng.choice([1, 2, 7, 64, 512]))
+    y_best, xi = float(rng.normal(scale=3.0)), float(rng.choice([0.0, 0.01]))
+    if kind == "far":  # every |z| >= 40; a positive d is tiny, so EI = d is too
+        y_best = xi = 0.0  # so that the tiny improvements are the means exactly
+        z = rng.choice([-1.0, 1.0], size=m) * rng.uniform(40.0, 400.0, size=m)
+        sigma = np.where(z > 0, 10.0 ** rng.uniform(-320.0, -306.0, size=m), rng.uniform(0.01, 2.0, size=m))
+    else:  # "subnormal": z in [-45, -37.6], EI subnormal or exactly 0
+        z = -rng.uniform(37.6, 45.0, size=m)
+        sigma = rng.uniform(0.1, 2.0, size=m)
+    improve = z * sigma
+    return y_best + xi + improve, sigma**2, y_best, xi
+
+
+@pytest.mark.parametrize("kind", ["far", "subnormal"])
+def test_pruned_argmax_equals_the_full_argmax_where_ei_underflows(kind):
+    rng = np.random.default_rng(29 if kind == "far" else 30)
+    dropped = 0
+    for i in range(1500):
+        mean, var, y_best, xi = _far_tail_case(rng, kind)
+        full = expected_improvement(mean, var, y_best, xi)
+        assert full.max() < 2.0**-1000
+        pruned, argmax, _ = _pruned_argmax(mean, var, y_best, xi)
+        assert pruned == argmax, (kind, i)
+        # Only exact zeros are dropped, and index 0 stays.
+        drop = np.ones(len(mean), dtype=bool)
+        drop[ei_contenders(mean, var, y_best, xi)] = False
+        assert not drop[0] and np.all(full[drop] == 0.0)
+        dropped += int(np.count_nonzero(drop))
+    assert dropped > 0
+
+
+def test_only_exact_zeros_are_dropped_below_the_floor():
+    # z = -38 leaves a subnormal EI; z = -40 and beyond give exactly 0.
+    sigma = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
+    z = np.array([-41.0, -38.0, -40.0, -38.5, -60.0])
+    full = expected_improvement(z * sigma, sigma**2, 0.0)
+    assert full.tolist()[0] == full.tolist()[2] == full.tolist()[4] == 0.0
+    assert 0.0 < full[3] < full[1] < 2.0**-1022
+    assert ei_contenders(z * sigma, sigma**2, 0.0).tolist() == [0, 1, 3]
 
 
 def test_equal_candidates_are_all_kept():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,14 @@ from probeopt.errors import ConfigError
 from probeopt.harness.scenarios import default_problem
 from probeopt.qubo.anneal import AnnealParams, solve, temperature_schedule
 from probeopt.qubo.conflict import build_conflict_graph
+from probeopt.qubo import kernels
 from probeopt.qubo.kernels import sweep
 from probeopt.qubo.model import to_qubo
 from probeopt.qubo.problem import SatelliteProblem, generate_geometry
 from support import (
     all_state_energies,
     dense_sweep_reference,
+    first_certified_sweep,
     naive_energy,
     qubo_matrix,
     qubo_on,
@@ -227,3 +230,62 @@ def test_sweep_after_a_last_variable_flip_is_not_skipped():
     kernel_out, reference_out = _kernel_and_reference(qm, temperature_schedule(COLD), _cold_rolls(4), [0, 1, 1, 1])
     assert kernel_out == reference_out
     assert kernel_out[0] == [1, 1, 1, 0]
+
+
+# -- the ladder the kernel builds only past its first sweep ---------------------
+
+
+def _run_kernel(qm, temps, uniforms, start, clique_cover):
+    state = np.array(start, dtype=np.int64)
+    best_state = np.zeros(qm.n, dtype=np.int64)
+    energies = sweep(qm, temps, uniforms, state, best_state, clique_cover=clique_cover)
+    return state.tolist(), best_state.tolist(), *energies
+
+
+def test_kernel_on_the_parameters_runs_the_temperature_schedule(monkeypatch):
+    # Every exp the kernel takes is of a table entry over the sweep's
+    # temperature, so equal exp arguments in equal order mean equal
+    # per-sweep temperatures.
+    rng = np.random.default_rng(43)
+    exp = math.exp
+    for case in range(80):
+        sweeps = int(rng.choice([1, 2, 3, 17, 120]))
+        t_start = float(rng.uniform(0.05, 6.0))
+        params = AnnealParams(sweeps=sweeps, t_start=t_start, t_end=float(rng.uniform(0.01, 1.0) * t_start))
+        temps = temperature_schedule(params)
+        assert temps[0] == params.t_start  # ratio ** 0.0 == 1.0
+        qm = random_conflict_qubo(rng, int(rng.integers(1, 14)))
+        uniforms = rng.random((sweeps, qm.n))
+        start = rng.integers(0, 2, size=qm.n) if case % 2 else np.zeros(qm.n, dtype=np.int64)
+        for cover in (None, qm.clique_cover):
+            outputs = []
+            for schedule in (temps, params):
+                args = []
+                monkeypatch.setattr(math, "exp", lambda x: args.append(x) or exp(x))
+                outputs.append((_run_kernel(qm, schedule, uniforms, start, cover), args))
+                monkeypatch.setattr(math, "exp", exp)
+            assert outputs[0] == outputs[1], case
+
+
+def test_a_first_sweep_stop_never_builds_the_ladder(monkeypatch):
+    built = []
+    schedule = kernels.temperature_schedule
+    monkeypatch.setattr(kernels, "temperature_schedule", lambda params: built.append(params) or schedule(params))
+    problem = default_problem()
+    graph = build_conflict_graph(generate_geometry(problem), problem)
+    qm = to_qubo(graph, replace(problem.qubo_weights, w_penalty=2.37))
+    runs = {True: 0, False: 0}
+    for seed in range(20):
+        params = AnnealParams(sweeps=200, t_start=1.0)
+        uniforms = np.random.default_rng(seed).random((params.sweeps, qm.n))
+        stops_first = first_certified_sweep(qm, schedule(params), uniforms) == 0
+        built.clear()
+        best = solve(qm, params, np.random.default_rng(seed))
+        assert built == ([] if stops_first else [params])
+        assert best.tolist() == _run_kernel(qm, schedule(params), uniforms, [0] * qm.n, qm.clique_cover)[1]
+        runs[stops_first] += 1
+    assert runs[True] > 0 and runs[False] > 0
+    # One sweep is the whole schedule: nothing to build either.
+    built.clear()
+    solve(qm, AnnealParams(sweeps=1, t_start=1.3), np.random.default_rng(0))
+    assert built == []

@@ -34,3 +34,16 @@ def test_suggestion_off_the_argmax_is_rejected(monkeypatch):
     monkeypatch.setattr(bench.importlib.import_module("probeopt.bo.search"), "ei_contenders", first_only)
     with pytest.raises(RuntimeError, match="not the batch's first EI argmax"):
         bench.run((8,), repeats=1, calls=3, seed=1)
+
+
+def test_baseline_runs_beside_the_checkout_in_alternating_workers():
+    src = bench.ROOT / "src"
+    report = bench.run_interleaved((5, 8), repeats=2, calls=2, seed=1, src=src, baseline=src)
+    json.dumps(report)
+    baseline = report["baseline"]
+    for side in (report, baseline):
+        assert [row["n"] for row in side["results"]] == [5, 8]
+        assert all(len(row[step]["runs_us"]) == 2 for row in side["results"] for step in ("suggest", "update"))
+    # The same tree on both sides: the same inputs, so the same contenders.
+    assert [row["contenders"] for row in report["results"]] == [row["contenders"] for row in baseline["results"]]
+    assert baseline["environment"]["commit"] == report["environment"]["commit"]

@@ -213,10 +213,12 @@ def test_every_default_instance_solve_above_the_reward_stops(monkeypatch, tmp_pa
     # Record every kernel call of the seed-7 headline run.
     calls = []
 
-    def recording(qubo, temps, rng, state, best_state, **kwargs):
-        # solve hands the kernel its generator; record the rolls it yields.
+    def recording(qubo, params, rng, state, best_state, **kwargs):
+        # solve hands the kernel its parameters and its generator; record
+        # the ladder they stand for and the rolls the generator yields.
+        temps = temperature_schedule(params)
         uniforms = copy.deepcopy(rng).random((len(temps), qubo.n))
-        energies = sweep(qubo, temps, rng, state, best_state, **kwargs)
+        energies = sweep(qubo, params, rng, state, best_state, **kwargs)
         calls.append((qubo, temps, uniforms, kwargs, (state.tolist(), best_state.tolist(), *energies)))
         return energies
 
